@@ -42,7 +42,7 @@ use aion_types::{
     Timestamp, Transaction, TxnId, Violation,
 };
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::path::PathBuf;
 
 use crate::versioned::VersionedMap;
@@ -371,6 +371,13 @@ impl OnlineTxn {
     pub(crate) fn anchor(&self) -> EventKey {
         anchor_event(&self.txn, self.level)
     }
+
+    /// This transaction's share of
+    /// [`OnlineChecker::estimated_memory_bytes`]. Fixed once resident:
+    /// no path changes its op, read or write-set counts.
+    fn estimated_bytes(&self) -> usize {
+        128 + self.txn.ops.len() * 48 + self.reads.len() * 96 + self.write_set.len() * 56
+    }
 }
 
 /// The event a transaction's reads anchor at under `level`.
@@ -498,7 +505,22 @@ pub struct OnlineChecker {
     /// [`ExtPredicate::Committed`] membership predicate — when false,
     /// the extended trigger sweep for committed-readers is skipped.
     pub(crate) has_committed_ext: bool,
+    /// Whether GC can run (`cfg.gc` is not [`OnlineGcPolicy::None`]) —
+    /// when false `live_anchors` and `spillable` stay empty, so GC-off
+    /// sessions pay no heap for them.
+    pub(crate) track_gc: bool,
     pub(crate) txns: FxHashMap<TxnId, OnlineTxn>,
+    /// Anchors of the resident unfinalized transactions; the first is
+    /// the GC safe horizon. Anchor events embed the tid, so a set is
+    /// already a multiset. Maintained only when `track_gc`.
+    pub(crate) live_anchors: BTreeSet<EventKey>,
+    /// Commit events of the resident finalized transactions — the GC
+    /// spill candidates, oldest commit first. Maintained only when
+    /// `track_gc`.
+    pub(crate) spillable: BTreeSet<EventKey>,
+    /// Sum of the resident transactions' byte shares of the memory
+    /// estimate, kept where transactions enter and leave `txns`.
+    pub(crate) resident_bytes: usize,
     pub(crate) globals: GlobalChecks,
     pub(crate) frontier: VersionedMap<Snapshot>,
     /// Committed-membership summaries for the RC EXT predicate; only
@@ -527,6 +549,11 @@ pub struct OnlineChecker {
     /// Not persisted; the watermark regression test pins that this stops
     /// growing on repeated straggler passes.
     pub(crate) reload_scans: u64,
+    /// Diagnostic: how many times a GC pass folded over the whole
+    /// resident set (the prune-horizon fold, made only by passes that
+    /// spill). Not persisted; the no-progress regression test pins that
+    /// blocked passes make none.
+    pub(crate) gc_folds: u64,
     pub(crate) now_ms: u64,
     pub(crate) report: CheckReport,
     pub(crate) flips: FlipTracker,
@@ -561,11 +588,16 @@ impl OnlineChecker {
         let flips = FlipTracker::new(cfg.track_flip_details);
         let track_overlaps = cfg.levels.may_activate(|c| c.noconflict);
         let has_committed_ext = cfg.levels.may_activate(|c| c.ext == ExtPredicate::Committed);
+        let track_gc = cfg.gc != OnlineGcPolicy::None;
         Ok(OnlineChecker {
             cfg,
             track_overlaps,
             has_committed_ext,
+            track_gc,
             txns: FxHashMap::default(),
+            live_anchors: BTreeSet::new(),
+            spillable: BTreeSet::new(),
+            resident_bytes: 0,
             globals: GlobalChecks::default(),
             frontier: VersionedMap::new(),
             membership: MembershipIndex::new(),
@@ -578,6 +610,7 @@ impl OnlineChecker {
             gc_horizon_ts: None,
             reload_floor: Timestamp::MIN,
             reload_scans: 0,
+            gc_folds: 0,
             now_ms: 0,
             report: CheckReport::new(),
             flips,
@@ -730,19 +763,101 @@ impl OnlineChecker {
 
     /// The resident-state share of [`Self::estimated_memory_bytes`]:
     /// transactions, frontier versions and the read/write/overlap
-    /// indexes (no spill-store or buffer overhead).
+    /// indexes (no spill-store or buffer overhead). `O(1)`: every term
+    /// is a running counter.
     fn state_bytes_estimate(&self) -> usize {
-        let mut bytes = 0usize;
-        // aion-lint: allow(determinism) — commutative sum; visit order
-        // cannot affect the estimate
-        for t in self.txns.values() {
-            bytes += 128 + t.txn.ops.len() * 48 + t.reads.len() * 96 + t.write_set.len() * 56;
+        self.resident_bytes
+            + self.frontier.len() * 72
+            + self.membership.approx_bytes()
+            + self.ongoing.len() * 64
+            + self.readers.len() * 40
+            + self.writers.len() * 40
+    }
+
+    /// Account `t` entering the resident set: its share of the memory
+    /// estimate and, under GC, its entry in the horizon or the
+    /// spill-candidate index.
+    fn track_resident(&mut self, t: &OnlineTxn) {
+        self.resident_bytes += t.estimated_bytes();
+        if self.track_gc {
+            if t.finalized {
+                self.spillable.insert(t.txn.commit_event());
+            } else {
+                self.live_anchors.insert(t.anchor());
+            }
         }
-        bytes += self.frontier.len() * 72;
-        bytes += self.membership.approx_bytes();
-        bytes += self.ongoing.len() * 64;
-        bytes += self.readers.len() * 40 + self.writers.len() * 40;
-        bytes
+    }
+
+    /// Undo [`Self::track_resident`] for `t` leaving the resident set.
+    fn untrack_resident(&mut self, t: &OnlineTxn) {
+        self.resident_bytes -= t.estimated_bytes();
+        if self.track_gc {
+            if t.finalized {
+                self.spillable.remove(&t.txn.commit_event());
+            } else {
+                self.live_anchors.remove(&t.anchor());
+            }
+        }
+    }
+
+    fn insert_resident(&mut self, t: OnlineTxn) {
+        self.track_resident(&t);
+        self.txns.insert(t.txn.tid, t);
+    }
+
+    /// Recompute the resident-set bookkeeping from `txns` — for the bulk
+    /// loaders (checkpoint restore, resharded restore) that fill `txns`
+    /// directly. The bookkeeping is derived state and never persisted.
+    pub(crate) fn rebuild_resident_index(&mut self) {
+        self.resident_bytes = 0;
+        self.live_anchors.clear();
+        self.spillable.clear();
+        let txns = std::mem::take(&mut self.txns);
+        // aion-lint: allow(determinism) — a sum and ordered-set inserts;
+        // visit order cannot affect the result
+        for t in txns.values() {
+            self.track_resident(t);
+        }
+        self.txns = txns;
+        #[cfg(test)]
+        self.check_resident_index();
+    }
+
+    /// Recompute everything the incremental bookkeeping maintains by
+    /// walking the state — the GC horizon by a min-fold, the candidates
+    /// by a `(commit_event, tid)` sort, the byte total, the index item
+    /// counts — and assert it matches.
+    #[cfg(test)]
+    pub(crate) fn check_resident_index(&self) {
+        let bytes: usize = self.txns.values().map(OnlineTxn::estimated_bytes).sum();
+        assert_eq!(self.resident_bytes, bytes, "resident byte total");
+        assert_eq!(self.readers.len(), self.readers.walked_len(), "reader index count");
+        assert_eq!(self.writers.len(), self.writers.walked_len(), "writer index count");
+        self.membership.check_counters();
+        if !self.track_gc {
+            assert!(self.live_anchors.is_empty() && self.spillable.is_empty());
+            return;
+        }
+        let horizon = self
+            .txns
+            .values()
+            .filter(|t| !t.finalized)
+            .map(OnlineTxn::anchor)
+            .min()
+            .unwrap_or(EventKey::INFINITY);
+        assert_eq!(self.safe_horizon(), horizon, "safe horizon");
+        let mut candidates: Vec<(EventKey, TxnId)> = self
+            .txns
+            .values()
+            .filter(|t| t.finalized && t.txn.commit_event() < horizon)
+            .map(|t| (t.txn.commit_event(), t.txn.tid))
+            .collect();
+        candidates.sort_unstable();
+        let brute: Vec<TxnId> = candidates.into_iter().map(|(_, tid)| tid).collect();
+        assert_eq!(self.spill_candidates(horizon, usize::MAX), brute, "spill candidates");
+        let live = self.txns.values().filter(|t| !t.finalized).count();
+        assert_eq!(self.live_anchors.len(), live, "one live anchor per unfinalized txn");
+        assert_eq!(self.spillable.len(), self.txns.len() - live, "one entry per finalized txn");
     }
 
     /// Advance the (virtual) clock and finalize every transaction whose
@@ -757,6 +872,8 @@ impl OnlineChecker {
             self.deadlines.pop();
             self.finalize_txn(tid);
         }
+        #[cfg(test)]
+        self.check_resident_index();
         self.take_events()
     }
 
@@ -765,6 +882,8 @@ impl OnlineChecker {
         while let Some(Reverse((_, tid))) = self.deadlines.pop() {
             self.finalize_txn(tid);
         }
+        #[cfg(test)]
+        self.check_resident_index();
         self.take_events()
     }
 
@@ -814,6 +933,8 @@ impl OnlineChecker {
         self.process(txn, level);
         self.maybe_gc();
         self.stats.peak_resident_txns = self.stats.peak_resident_txns.max(self.txns.len());
+        #[cfg(test)]
+        self.check_resident_index();
         self.take_events()
     }
 
@@ -1013,7 +1134,7 @@ impl OnlineChecker {
         } else {
             self.deadlines.push(Reverse((self.now_ms + self.cfg.ext_timeout_ms, tid)));
         }
-        self.txns.insert(tid, OnlineTxn { txn, level, write_set, reads, anchor_keys, finalized });
+        self.insert_resident(OnlineTxn { txn, level, write_set, reads, anchor_keys, finalized });
 
         self.process_triggers();
     }
@@ -1148,6 +1269,7 @@ impl OnlineChecker {
             return;
         }
         let anchor = t.anchor();
+        let commit_ev = t.txn.commit_event();
         let mut viols = Vec::new();
         for r in &t.reads {
             if !r.ok && !r.settled {
@@ -1167,7 +1289,13 @@ impl OnlineChecker {
             self.emit(v);
         }
         self.emit_event(|| CheckEvent::ExtFinalized { tid, violations: n });
-        self.txns.get_mut(&tid).expect("present above").finalized = true;
+        if let Some(t) = self.txns.get_mut(&tid) {
+            t.finalized = true;
+        }
+        if self.track_gc {
+            self.live_anchors.remove(&anchor);
+            self.spillable.insert(commit_ev);
+        }
         self.stats.finalized += 1;
     }
 
@@ -1185,34 +1313,32 @@ impl OnlineChecker {
         self.spill_down_to(target);
     }
 
+    /// The GC safe horizon: nothing at or above the anchor of any live
+    /// (unfinalized) transaction may be spilled — its verdicts can still
+    /// change (paper: asynchrony may prevent recycling anything).
+    fn safe_horizon(&self) -> EventKey {
+        self.live_anchors.first().copied().unwrap_or(EventKey::INFINITY)
+    }
+
+    /// Up to `n` spill candidates below `horizon`, oldest commit first.
+    /// Commit events are unique per transaction, so this is the
+    /// `(commit_event, tid)` order.
+    fn spill_candidates(&self, horizon: EventKey, n: usize) -> Vec<TxnId> {
+        self.spillable.range(..horizon).take(n).map(|e| e.tid).collect()
+    }
+
     /// Spill finalized transactions (oldest first) until at most `target`
     /// transactions remain resident, or no more can be safely spilled.
+    /// Reads the horizon and the candidates off the ordered indexes, so a
+    /// pass that cannot spill costs `O(log n)`; only a pass that spills
+    /// folds over the resident set, for the prune horizon.
     fn spill_down_to(&mut self, target: usize) {
-        // Safe horizon: nothing at or above the anchor of any live
-        // (unfinalized) transaction may be spilled — its verdicts can still
-        // change (paper: asynchrony may prevent recycling anything).
-        let mut safe_horizon = EventKey::INFINITY;
-        // aion-lint: allow(determinism) — commutative min-fold; visit
-        // order cannot affect the horizon
-        for t in self.txns.values() {
-            if !t.finalized {
-                safe_horizon = safe_horizon.min(t.anchor());
-            }
-        }
-        let mut candidates: Vec<(EventKey, TxnId)> = self
-            .txns
-            .values()
-            .filter(|t| t.finalized && t.txn.commit_event() < safe_horizon)
-            .map(|t| (t.txn.commit_event(), t.txn.tid))
-            .collect();
-        candidates.sort_unstable();
-
+        let safe_horizon = self.safe_horizon();
         let excess = self.txns.len().saturating_sub(target);
-        let spill_count = candidates.len().min(excess);
-        if spill_count == 0 {
+        let spilled = self.spill_candidates(safe_horizon, excess);
+        if spilled.is_empty() {
             return; // worst case: asynchrony blocks all recycling
         }
-        let spilled: Vec<TxnId> = candidates[..spill_count].iter().map(|&(_, t)| t).collect();
         let mut max_spilled_cts = Timestamp::MIN;
         let mut min_spilled_cts = Timestamp::MAX;
         // Encode from borrowed state and only evict on success: a failed
@@ -1221,8 +1347,8 @@ impl OnlineChecker {
         // panic. The clone is dominated by the encoding work either way.
         let entries: Vec<SpillEntry> = spilled
             .iter()
-            .map(|tid| {
-                let t = self.txns.get(tid).expect("candidate is resident");
+            .filter_map(|tid| self.txns.get(tid))
+            .map(|t| {
                 max_spilled_cts = max_spilled_cts.max(t.txn.commit_ts);
                 min_spilled_cts = min_spilled_cts.min(t.txn.commit_ts);
                 SpillEntry { txn: t.txn.clone(), write_set: t.write_set.clone() }
@@ -1240,7 +1366,9 @@ impl OnlineChecker {
             }
         };
         for tid in &spilled {
-            self.txns.remove(tid);
+            if let Some(t) = self.txns.remove(tid) {
+                self.untrack_resident(&t);
+            }
         }
         self.stats.gc_spills += 1;
         self.stats.spilled_txns += entries.len();
@@ -1257,6 +1385,9 @@ impl OnlineChecker {
 
         // Prune versioned state below the oldest event any retained
         // transaction can still anchor a query at.
+        // This fold is the pass's only walk of the resident set; the
+        // spilled batch amortizes it.
+        self.gc_folds += 1;
         let mut prune_horizon = safe_horizon;
         // aion-lint: allow(determinism) — commutative min-fold; visit
         // order cannot affect the horizon
@@ -1281,6 +1412,8 @@ impl OnlineChecker {
         if self.has_committed_ext {
             self.membership.compact_below(prune_horizon);
         }
+        #[cfg(test)]
+        self.check_resident_index();
     }
 
     /// Reload every spilled segment that could matter for an arrival whose
@@ -1341,17 +1474,14 @@ impl OnlineChecker {
                         self.ongoing.register(*key, tid, nc, e.txn.start_event(), commit_ev, true);
                     }
                 }
-                self.txns.insert(
-                    tid,
-                    OnlineTxn {
-                        txn: e.txn,
-                        level,
-                        write_set: e.write_set,
-                        reads: Vec::new(),
-                        anchor_keys: Vec::new(),
-                        finalized: true,
-                    },
-                );
+                self.insert_resident(OnlineTxn {
+                    txn: e.txn,
+                    level,
+                    write_set: e.write_set,
+                    reads: Vec::new(),
+                    anchor_keys: Vec::new(),
+                    finalized: true,
+                });
             }
         }
         if all_loaded {
@@ -1360,6 +1490,8 @@ impl OnlineChecker {
             // the floor down so it is retried.
             self.reload_floor = self.reload_floor.max(hi);
         }
+        #[cfg(test)]
+        self.check_resident_index();
     }
 }
 
@@ -1389,6 +1521,8 @@ impl Checker for OnlineChecker {
 mod tests {
     use super::*;
     use aion_types::{AxiomKind, TxnBuilder, Value};
+
+    mod resident_index;
 
     fn checker() -> OnlineChecker {
         OnlineChecker::new_si(DataKind::Kv)
@@ -1763,6 +1897,10 @@ mod tests {
         assert!(out.is_ok(), "{}", out.report);
     }
 
+    /// Regression: a GC pass that cannot spill used to fold over the
+    /// whole resident set (twice) and sort it on every arrival past the
+    /// threshold — quadratic exactly when asynchrony blocks recycling.
+    /// The ordered indexes answer it without touching the resident set.
     #[test]
     fn gc_cannot_spill_while_everything_live() {
         let mut a = OnlineChecker::new(AionConfig {
@@ -1771,12 +1909,36 @@ mod tests {
             ..AionConfig::default()
         });
         // No ticks: nothing finalizes, so nothing may be spilled (the
-        // paper's worst case).
-        for i in 1..=10u64 {
+        // paper's worst case) — 1,000 arrivals past the threshold.
+        let n = 1_004u64;
+        for i in 1..=n {
             a.receive(t(i, i as u32 - 1, 0, i * 10, i * 10 + 5).read(Key(1), Value(0)).build(), 0);
         }
         assert_eq!(a.stats().spilled_txns, 0);
-        assert_eq!(a.resident_txns(), 10);
+        assert_eq!(a.stats().gc_spills, 0);
+        assert_eq!(a.resident_txns(), n as usize);
+        assert_eq!(a.gc_folds, 0, "blocked GC passes must not scan the resident set");
+    }
+
+    /// A pass that spills folds over the resident set exactly once (for
+    /// the prune horizon), so resident-set scans track useful passes.
+    #[test]
+    fn gc_folds_once_per_useful_pass() {
+        let mut a = OnlineChecker::builder()
+            .ext_timeout_ms(10)
+            .gc(OnlineGcPolicy::Checking { max_txns: 8 })
+            .build()
+            .unwrap();
+        for i in 1..=400u64 {
+            let txn = t(i, 0, (i - 1) as u32, i * 10, i * 10 + 5)
+                .put(Key(i % 4), Value(i))
+                .read(Key(i % 4), Value(i))
+                .build();
+            a.receive(txn, i * 100);
+            a.tick(i * 100);
+        }
+        assert!(a.stats().gc_spills > 10, "GC must spill repeatedly");
+        assert_eq!(a.gc_folds, a.stats().gc_spills as u64);
     }
 
     #[test]

@@ -24,11 +24,14 @@ pub struct ReadRef {
 #[derive(Clone, Debug)]
 pub struct KeyEventIndex<T> {
     pub(crate) keys: FxHashMap<Key, BTreeMap<EventKey, Vec<T>>>,
+    /// Total items across all keys and events, kept by `insert` and
+    /// `prune_below` so [`Self::len`] is `O(1)`.
+    items: usize,
 }
 
 impl<T> Default for KeyEventIndex<T> {
     fn default() -> Self {
-        KeyEventIndex { keys: FxHashMap::default() }
+        KeyEventIndex { keys: FxHashMap::default(), items: 0 }
     }
 }
 
@@ -41,6 +44,7 @@ impl<T: Clone + PartialEq> KeyEventIndex<T> {
     /// Register `item` for `key` at `at`.
     pub fn insert(&mut self, key: Key, at: EventKey, item: T) {
         self.keys.entry(key).or_default().entry(at).or_default().push(item);
+        self.items += 1;
     }
 
     /// Items for `key` anchored inside `(lo, hi]`, with their anchor
@@ -76,11 +80,19 @@ impl<T: Clone + PartialEq> KeyEventIndex<T> {
             }
             !chain.is_empty()
         });
+        self.items -= dropped;
         dropped
     }
 
     /// Total anchored items (for stats).
     pub fn len(&self) -> usize {
+        self.items
+    }
+
+    /// [`Self::len`] recounted by walking every chain (tests pin the
+    /// counter against it).
+    #[cfg(test)]
+    pub(crate) fn walked_len(&self) -> usize {
         self.keys.values().flat_map(|c| c.values()).map(Vec::len).sum()
     }
 
@@ -209,6 +221,8 @@ mod tests {
         assert_eq!(idx.len(), 4);
         let dropped = idx.prune_below(s(20, 2));
         assert_eq!(dropped, 2); // key1@10 and key2@15
+        assert_eq!(idx.len(), 2);
+        assert_eq!(idx.len(), idx.walked_len());
         assert_eq!(idx.range(Key(1), s(5, 0), s(25, 9)).len(), 2);
     }
 

@@ -58,6 +58,9 @@ pub struct MembershipIndex {
     keys: FxHashMap<Key, FxHashMap<Snapshot, Events>>,
     /// Total `(key, event)` entries across all value sets.
     versions: usize,
+    /// Total distinct `(key, value)` pairs, kept by [`Self::record`] so
+    /// [`Self::approx_bytes`] is `O(1)`.
+    values: usize,
 }
 
 impl MembershipIndex {
@@ -111,6 +114,7 @@ impl MembershipIndex {
             }
             if drop_value {
                 per_key.remove(old);
+                self.values -= 1;
             }
         }
         // `get_mut` before `insert` so the common hit path (same value
@@ -119,6 +123,7 @@ impl MembershipIndex {
             None => {
                 per_key.insert(snap.clone(), Events::One(at));
                 self.versions += 1;
+                self.values += 1;
             }
             Some(events) => match events {
                 Events::One(only) if *only == at => {}
@@ -203,8 +208,23 @@ impl MembershipIndex {
     /// accounting in `state_bytes_estimate`: each recorded version costs
     /// an event entry, each distinct value a stored snapshot.
     pub fn approx_bytes(&self) -> usize {
-        let distinct_values: usize = self.keys.values().map(FxHashMap::len).sum();
-        self.versions * 24 + distinct_values * 72
+        self.versions * 24 + self.values * 72
+    }
+
+    /// Assert the running counters against a walk of the value sets.
+    #[cfg(test)]
+    pub(crate) fn check_counters(&self) {
+        let values: usize = self.keys.values().map(FxHashMap::len).sum();
+        let versions: usize = self
+            .keys
+            .values()
+            .flat_map(FxHashMap::values)
+            .map(|e| match e {
+                Events::One(_) => 1,
+                Events::Many(set) => set.len(),
+            })
+            .sum();
+        assert_eq!((self.values, self.versions), (values, versions), "membership counters");
     }
 }
 
@@ -242,6 +262,7 @@ mod tests {
         // the old value must stop justifying reads.
         m.record(Key(1), ev(10), &scalar(7), Some(&scalar(5)));
         assert_eq!(m.len(), 1);
+        m.check_counters();
         assert!(!m.contains_before(Key(1), ev(99), &scalar(5)));
         assert!(m.contains_before(Key(1), ev(99), &scalar(7)));
     }
@@ -258,6 +279,7 @@ mod tests {
         m.record(Key(1), ev(10), &scalar(9), Some(&scalar(5)));
         assert!(!m.contains_before(Key(1), ev(11), &scalar(5)));
         assert!(m.contains_before(Key(1), ev(21), &scalar(5)));
+        m.check_counters();
     }
 
     #[test]

@@ -1005,6 +1005,9 @@ fn resplit_workers(
             );
         }
     }
+    for w in &mut workers {
+        w.rebuild_resident_index();
+    }
 
     // Merged session-wide counters and the merged report live on worker 0
     // (`finish` folds workers in shard order, so placement only affects

@@ -730,6 +730,7 @@ impl OnlineChecker {
                 ck.membership.record(k, e, &s, None);
             }
         }
+        ck.rebuild_resident_index();
         Ok(ck)
     }
 }
