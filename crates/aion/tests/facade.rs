@@ -162,14 +162,12 @@ fn ser_checkers_agree_on_write_skew() {
     let (si_offline, _) = drive(ChronosChecker::si(DataKind::Kv), &h.txns);
     assert!(si_online.is_ok() && si_offline.is_ok(), "write skew is legal under SI");
 
-    // Pre-PR-5 source compatibility, asserted on purpose: the deprecated
-    // `Mode` alias and builder method must keep compiling and behaving.
-    #[allow(deprecated)]
-    let (ser_online, _) = drive(OnlineChecker::builder().mode(Mode::Ser).build().unwrap(), &h.txns);
+    let ser = OnlineChecker::builder().level(IsolationLevel::Ser).build().unwrap();
+    let (ser_online, _) = drive(ser, &h.txns);
     let (ser_offline, _) = drive(ChronosChecker::ser(DataKind::Kv), &h.txns);
     let (ser_emme, _) = drive(EmmeChecker::ser(DataKind::Kv), &h.txns);
     assert!(!ser_online.is_ok(), "AION-SER must reject write skew");
-    assert_eq!(ser_online.checker, "aion-ser", "the Mode alias selects the same session");
+    assert_eq!(ser_online.checker, "aion-ser");
     assert!(!ser_offline.is_ok(), "CHRONOS-SER must reject write skew");
     assert!(!ser_emme.is_ok(), "Emme-SER must reject write skew");
 

@@ -59,7 +59,7 @@ pub fn bench_record(ctx: &Ctx) {
     }
 
     // Per-level predicate dispatch on the single-checker hot path: the
-    // level lattice replaced the old two-way `Mode` branch with
+    // level lattice replaced the old two-way SI/SER branch with
     // `LevelChecks` dispatch, and these rows pin that SI/SER paid
     // nothing for it (compare `level-si` against `single` — same
     // session, selected through the policy — and against the previous
@@ -100,26 +100,6 @@ pub fn bench_record(ctx: &Ctx) {
             .build()
             .expect("open session");
         run_plan(ck, &mixed_plan)
-    }));
-
-    // dst-overhead: the sharded hot path now runs behind the
-    // `ShardTransport` object seam (and the serve registry behind the
-    // `Clock` trait) so the DST harness can swap in simulated
-    // implementations. Production uses the same zero-cost defaults as
-    // before; these rows re-measure the `single` and `sharded x4`
-    // configurations through that seam as an A/A pair against their
-    // partner rows above — the spread between partners bounds
-    // abstraction cost plus measurement noise, and on a quiet host
-    // must stay under 2% (on a noisy 1-CPU container, noise dominates).
-    results.push(measure("dst-overhead-single", 0, || single(false)));
-    results.push(measure("dst-overhead-sharded", 4, || {
-        let ck = OnlineChecker::builder()
-            .kind(h.kind)
-            .events(false)
-            .shards(4)
-            .build_sharded()
-            .expect("open session");
-        run_plan(ck, &plan)
     }));
 
     // serve-ingest: the same history streamed through the aion-serve

@@ -12,11 +12,11 @@
 //! all as a pure function of one `u64` seed.
 //!
 //! Every seed builds a complete scenario (workload, anomaly injection,
-//! isolation level, shard count, tick-broadcast granularity, EXT
-//! timeout, optional GC + spill faults, optional checkpoint cut +
-//! reshard), runs it through the single reference [`OnlineChecker`] and
-//! the simulated [`ShardedChecker`], and demands the differential
-//! guarantees the architecture promises:
+//! isolation level, shard count, tick cadence, EXT timeout, optional
+//! GC + spill faults, optional checkpoint cut + reshard), runs it
+//! through the single reference [`OnlineChecker`] and the simulated
+//! [`ShardedChecker`] under the same tick cadence, and demands the
+//! differential guarantees the architecture promises:
 //!
 //! * identical verdict, violation multiset, txn/finalization counts and
 //!   flip totals (`sharded_equivalence`'s invariant, now under
@@ -41,14 +41,14 @@
 
 pub mod permute;
 
-use aion_online::feed::{feed_plan, run_plan, Arrival, FeedConfig};
+use aion_online::feed::{feed_plan, Arrival, FeedConfig};
 use aion_online::{
     OnlineChecker, OnlineCheckerBuilder, OnlineGcPolicy, ShardedChecker, SimSchedule, SimStats,
     SpillFaultPlan,
 };
 use aion_storage::Anomaly;
 use aion_types::rng::SplitMix64;
-use aion_types::{CheckEvent, Checker, IsolationLevel, Outcome, ShardConfig};
+use aion_types::{CheckEvent, Checker, IsolationLevel, Outcome};
 use aion_workload::{generate_history, KeyDist, WorkloadSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -92,6 +92,32 @@ impl ScheduleKind {
     }
 }
 
+/// How often a run's driver calls `tick` between arrivals. Every
+/// arrival advances its checker's clock by itself, so verdicts must not
+/// depend on the cadence; it is applied to the single reference and the
+/// sharded run alike.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TickCadence {
+    /// `tick(at)` before every arrival.
+    EveryArrival,
+    /// `tick(at)` before every `n`-th arrival of the stream.
+    Every(usize),
+    /// No tick until the end-of-stream drain.
+    DrainOnly,
+}
+
+impl TickCadence {
+    /// Whether the driver ticks before the arrival at `index` of the
+    /// whole stream.
+    fn ticks_at(self, index: usize) -> bool {
+        match self {
+            TickCadence::EveryArrival => true,
+            TickCadence::Every(n) => index.is_multiple_of(n.max(1)),
+            TickCadence::DrainOnly => false,
+        }
+    }
+}
+
 /// Harness options (the CLI's `--schedule` / `--fast`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DstOptions {
@@ -118,10 +144,8 @@ pub struct SeedReport {
     pub checkpoint_cut: Option<usize>,
     /// Worker count the cut restored onto (`None` = same count).
     pub resharded: Option<usize>,
-    /// Arrivals per `feed_batch` call when the scenario drove the
-    /// sharded checker through the batched ingest path (`None` = one
-    /// `feed` per arrival).
-    pub feed_batch_chunk: Option<usize>,
+    /// How often both runs ticked between arrivals.
+    pub tick_cadence: TickCadence,
     /// Spill write faults injected into the sharded run (0 = the
     /// scenario had no spill-fault sub-plan).
     pub spill_faults_fired: u64,
@@ -181,11 +205,10 @@ struct Scenario {
     fault_seed: u64,
     write_fail_p: f64,
     shards: usize,
-    tick_broadcast_ms: u64,
     injected: usize,
     checkpoint_cut: Option<usize>,
     resharded: Option<usize>,
-    feed_batch_chunk: Option<usize>,
+    tick_cadence: TickCadence,
 }
 
 const ANOMALIES: &[Anomaly] = &[
@@ -229,7 +252,9 @@ fn build_scenario(seed: u64, opts: &DstOptions) -> Scenario {
         &h,
         &FeedConfig {
             batch_size: 1 + rng.below(40) as usize,
-            batch_interval_ms: rng.below(30),
+            // Up to a few 50 ms clock-broadcast periods between batches,
+            // so rate-limited (and droppable) broadcasts fire within a run.
+            batch_interval_ms: rng.below(120),
             delay_mean_ms: 20.0 * rng.next_f64(),
             delay_std_ms: 5.0 * rng.next_f64(),
             seed: rng.next_u64(),
@@ -248,18 +273,17 @@ fn build_scenario(seed: u64, opts: &DstOptions) -> Scenario {
         fault_seed: rng.next_u64(),
         write_fail_p: 0.2 + 0.3 * rng.next_f64(),
         shards: 2 + rng.below(3) as usize,
-        tick_broadcast_ms: [0, 1, 25, 50, 500][rng.below(5) as usize],
         injected,
         resharded: match checkpoint_cut {
             Some(_) if rng.chance(0.5) => Some(1 + rng.below(4) as usize),
             _ => None,
         },
         checkpoint_cut,
-        // Half the seeds drive the sharded checker through the batched
-        // ingest path (`feed_batch`, one channel message per shard per
-        // chunk) so the differential also covers batched delivery under
-        // adversarial schedules.
-        feed_batch_chunk: rng.chance(0.5).then(|| 2 + rng.below(14) as usize),
+        tick_cadence: match rng.below(3) {
+            0 => TickCadence::EveryArrival,
+            1 => TickCadence::Every(2 + rng.below(14) as usize),
+            _ => TickCadence::DrainOnly,
+        },
         plan,
     }
 }
@@ -289,10 +313,6 @@ impl Scenario {
             b = b.spill_faults(plan);
         }
         b
-    }
-
-    fn shard_config(&self) -> ShardConfig {
-        ShardConfig::new(self.shards).with_tick_broadcast_ms(self.tick_broadcast_ms)
     }
 }
 
@@ -362,48 +382,42 @@ fn err_str(e: impl std::fmt::Display) -> String {
     e.to_string()
 }
 
-/// Drive `plan` into a sharded checker, per arrival (`chunk == None`)
-/// or through [`Checker::feed_batch`] in chunks. Batched chunks tick
-/// once at the chunk's first arrival time — workers self-tick before
-/// each part at that part's own virtual time, so verdicts must not
-/// care — and hand each arrival its own timestamp.
-fn drive(
-    sh: &mut ShardedChecker,
+/// Feed `plan` (the arrivals from stream index `first` on) into
+/// `checker`, ticking before the arrivals `cadence` selects; every batch
+/// of events is handed to `on_events` with its virtual time.
+fn drive<C: Checker>(
+    checker: &mut C,
     plan: &[Arrival],
-    chunk: Option<usize>,
+    first: usize,
+    cadence: TickCadence,
     mut on_events: impl FnMut(u64, Vec<CheckEvent>),
 ) {
-    match chunk {
-        None => {
-            for (at, txn) in plan {
-                on_events(*at, sh.tick(*at));
-                on_events(*at, sh.feed(txn.clone(), *at));
-            }
+    for (i, (at, txn)) in plan.iter().enumerate() {
+        if cadence.ticks_at(first + i) {
+            on_events(*at, checker.tick(*at));
         }
-        Some(n) => {
-            for chunk in plan.chunks(n.max(1)) {
-                let first = chunk[0].0;
-                let last = chunk[chunk.len() - 1].0;
-                on_events(first, sh.tick(first));
-                let batch: Vec<_> = chunk.iter().map(|(at, txn)| (txn.clone(), *at)).collect();
-                on_events(last, sh.feed_batch(batch));
-            }
-        }
+        on_events(*at, checker.feed(txn.clone(), *at));
     }
 }
 
 fn run_scenario(seed: u64, opts: &DstOptions) -> Result<SeedReport, String> {
     let sc = build_scenario(seed, opts);
+    let end = sc.plan.last().map(|(at, _)| *at).unwrap_or(0);
 
     // Reference: the single checker, in arrival order.
     let single_faults = sc.fault_plan();
-    let single = sc.builder(single_faults.clone()).build().map_err(err_str)?;
-    let single_report = run_plan(single, &sc.plan);
+    let mut single = sc.builder(single_faults.clone()).build().map_err(err_str)?;
+    let mut single_timeline = Vec::new();
+    drive(&mut single, &sc.plan, 0, sc.tick_cadence, |at, evs| {
+        single_timeline.extend(evs.into_iter().map(|e| (at, e)));
+    });
+    single_timeline.extend(single.tick(u64::MAX).into_iter().map(|e| (end, e)));
+    let single_outcome = Checker::finish(single);
     if let Some(plan) = &single_faults {
-        if single_report.outcome.stats.spill_errors != plan.fired() {
+        if single_outcome.stats.spill_errors != plan.fired() {
             return Err(format!(
                 "single run lost spill errors: {} typed vs {} injected",
-                single_report.outcome.stats.spill_errors,
+                single_outcome.stats.spill_errors,
                 plan.fired()
             ));
         }
@@ -415,27 +429,24 @@ fn run_scenario(seed: u64, opts: &DstOptions) -> Result<SeedReport, String> {
     let sched = opts.schedule.schedule(seed);
     let sharded = sc
         .builder(sharded_faults.clone())
-        .shard_config(sc.shard_config())
+        .shards(sc.shards)
         .build_sharded_sim(sched)
         .map_err(err_str)?;
 
     let (sharded_outcome, sim, finalized_comparable) = match sc.checkpoint_cut {
         None => {
-            // Drive by hand (instead of `run_plan`, which consumes the
-            // checker) so the transport counters survive to the report.
             let mut sh = sharded;
             let mut timeline = Vec::new();
-            drive(&mut sh, &sc.plan, sc.feed_batch_chunk, |at, evs| {
+            drive(&mut sh, &sc.plan, 0, sc.tick_cadence, |at, evs| {
                 timeline.extend(evs.into_iter().map(|e| (at, e)));
             });
-            let end = sc.plan.last().map(|(at, _)| *at).unwrap_or(0);
             timeline.extend(sh.tick(u64::MAX).into_iter().map(|e| (end, e)));
             let sim = sh.sim_stats();
             (Checker::finish(sh), sim, Some(finalized_multiset(&timeline)))
         }
         Some(cut) => {
             let mut first = sharded;
-            drive(&mut first, &sc.plan[..cut], sc.feed_batch_chunk, |_, _| {});
+            drive(&mut first, &sc.plan[..cut], 0, sc.tick_cadence, |_, _| {});
             let bytes = first.checkpoint().map_err(err_str)?;
             // The interrupted process dies here; its outcome is discarded.
             let _ = first.finish();
@@ -445,7 +456,7 @@ fn run_scenario(seed: u64, opts: &DstOptions) -> Result<SeedReport, String> {
                     .map_err(err_str)?,
                 None => ShardedChecker::restore_sim(&bytes, resume_sched).map_err(err_str)?,
             };
-            drive(&mut resumed, &sc.plan[cut..], sc.feed_batch_chunk, |_, _| {});
+            drive(&mut resumed, &sc.plan[cut..], cut, sc.tick_cadence, |_, _| {});
             resumed.tick(u64::MAX);
             let sim = resumed.sim_stats();
             (Checker::finish(resumed), sim, None)
@@ -453,25 +464,25 @@ fn run_scenario(seed: u64, opts: &DstOptions) -> Result<SeedReport, String> {
     };
 
     compare_outcomes(
-        &single_report.outcome,
+        &single_outcome,
         &sharded_outcome,
         &match sc.checkpoint_cut {
             Some(cut) => format!(
-                "cut@{cut}{} shards={} tick_b={} ext={} level={:?}",
+                "cut@{cut}{} shards={} ticks={:?} ext={} level={:?}",
                 sc.resharded.map(|n| format!("->reshard {n}")).unwrap_or_default(),
                 sc.shards,
-                sc.tick_broadcast_ms,
+                sc.tick_cadence,
                 sc.ext_timeout_ms,
                 sc.level
             ),
             None => format!(
-                "uninterrupted shards={} tick_b={} ext={} level={:?}",
-                sc.shards, sc.tick_broadcast_ms, sc.ext_timeout_ms, sc.level
+                "uninterrupted shards={} ticks={:?} ext={} level={:?}",
+                sc.shards, sc.tick_cadence, sc.ext_timeout_ms, sc.level
             ),
         },
     )?;
     if let Some(sharded_finalized) = finalized_comparable {
-        let single_finalized = finalized_multiset(&single_report.timeline);
+        let single_finalized = finalized_multiset(&single_timeline);
         if single_finalized != sharded_finalized {
             return Err(format!(
                 "ExtFinalized multisets diverged: {} single vs {} sharded; first single-only: {:?}",
@@ -505,10 +516,10 @@ fn run_scenario(seed: u64, opts: &DstOptions) -> Result<SeedReport, String> {
         txns: sc.plan.len(),
         shards: sc.shards,
         injected: sc.injected,
-        violations: single_report.outcome.report.violations.len(),
+        violations: single_outcome.report.violations.len(),
         checkpoint_cut: sc.checkpoint_cut,
         resharded: sc.resharded,
-        feed_batch_chunk: sc.feed_batch_chunk,
+        tick_cadence: sc.tick_cadence,
         spill_faults_fired,
         sim: sim.unwrap_or_default(),
     })
@@ -595,8 +606,18 @@ mod tests {
         assert!(reports.iter().any(|r| r.spill_faults_fired > 0), "no spill-fault scenarios");
         assert!(reports.iter().any(|r| r.violations > 0), "no violating scenarios");
         assert!(reports.iter().any(|r| r.injected > 0), "no injected anomalies");
-        assert!(reports.iter().any(|r| r.feed_batch_chunk.is_some()), "no batched-feed scenarios");
-        assert!(reports.iter().any(|r| r.feed_batch_chunk.is_none()), "no per-arrival scenarios");
+        assert!(
+            reports.iter().any(|r| r.tick_cadence == TickCadence::EveryArrival),
+            "no tick-every-arrival scenarios"
+        );
+        assert!(
+            reports.iter().any(|r| matches!(r.tick_cadence, TickCadence::Every(_))),
+            "no tick-every-n scenarios"
+        );
+        assert!(
+            reports.iter().any(|r| r.tick_cadence == TickCadence::DrainOnly),
+            "no drain-only scenarios"
+        );
         assert!(
             reports.iter().map(|r| r.sim.dropped_ticks).sum::<u64>() > 0
                 || reports.iter().all(|r| r.checkpoint_cut.is_some()),

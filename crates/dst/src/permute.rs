@@ -7,13 +7,12 @@
 //! reference checker:
 //!
 //! 1. **Tick-broadcast rate limiter** — the coordinator forwards clock
-//!    ticks to worker shards at most once per `tick_broadcast_ms` of
-//!    virtual time, and the simulated transport may drop finite ticks
-//!    outright. The safety argument is that workers self-tick before
-//!    every arrival, so verdicts cannot depend on which broadcasts got
-//!    through. [`tick_limiter_model`] runs every subset of tick
-//!    deliveries (2^k masks) under multiple broadcast granularities and
-//!    requires identical outcomes.
+//!    ticks to worker shards at most once per 50 ms of virtual time,
+//!    and the simulated transport may drop finite ticks outright. The
+//!    safety argument is that every arrival advances its worker's
+//!    clock, so verdicts cannot depend on which broadcasts got through.
+//!    [`tick_limiter_model`] runs every subset of tick calls (2^k
+//!    masks) at two shard counts and requires identical outcomes.
 //! 2. **`GlobalChecks` authority handoff** — session order, duplicate
 //!    tids and Eq. (1) integrity are owned by the coordinator; a
 //!    checkpoint serializes that authority and a restore (possibly onto
@@ -29,8 +28,7 @@
 use crate::compare_outcomes;
 use aion_online::{OnlineChecker, ShardedChecker, SimSchedule};
 use aion_types::{
-    Checker, DataKind, History, IsolationLevel, Key, Outcome, ShardConfig, Transaction, TxnBuilder,
-    Value,
+    Checker, DataKind, History, IsolationLevel, Key, Outcome, Transaction, TxnBuilder, Value,
 };
 
 /// Depth knob: deeper under `--cfg dst_loom`.
@@ -60,9 +58,12 @@ pub fn model_history(n: usize) -> History {
     h
 }
 
+/// Virtual ms between model arrivals.
+const STEP_MS: u64 = 60;
+
 fn builder() -> aion_online::OnlineCheckerBuilder {
     // A long EXT timeout keeps tentative verdicts pending across the
-    // whole model run (arrival times are tiny), so finalization state
+    // whole model run (arrivals span under a second), so finalization state
     // crosses every checkpoint cut and survives every dropped tick.
     OnlineChecker::builder().level(IsolationLevel::Si).ext_timeout_ms(5_000).events(true)
 }
@@ -71,8 +72,8 @@ fn builder() -> aion_online::OnlineCheckerBuilder {
 fn reference(arrivals: &[Transaction]) -> Outcome {
     let mut ck = builder().build().expect("model config is valid");
     for (i, txn) in arrivals.iter().enumerate() {
-        ck.tick(i as u64 * 7);
-        ck.feed(txn.clone(), i as u64 * 7);
+        ck.tick(i as u64 * STEP_MS);
+        ck.feed(txn.clone(), i as u64 * STEP_MS);
     }
     ck.tick(u64::MAX);
     Checker::finish(ck)
@@ -81,37 +82,32 @@ fn reference(arrivals: &[Transaction]) -> Outcome {
 /// Model 1: enumerate every subset of coordinator tick deliveries.
 ///
 /// `ticks` is the number of optional tick slots (one before each of the
-/// first `ticks` arrivals); the model runs all `2^ticks` delivery masks
-/// under several `tick_broadcast_ms` granularities and two shard
-/// counts, requiring every run to match the reference outcome.
+/// first `ticks` arrivals, spaced past the 50 ms broadcast granularity
+/// so every call that happens is broadcast); the model runs all
+/// `2^ticks` masks at two shard counts, requiring every run to match
+/// the reference outcome.
 pub fn tick_limiter_model(ticks: usize) -> Result<(), String> {
     let h = model_history(8.max(ticks));
     let reference = reference(&h.txns);
     for shards in [2usize, 3] {
-        for tick_broadcast_ms in [0u64, 50] {
-            for mask in 0u64..(1 << ticks) {
-                let mut ck = builder()
-                    .shard_config(
-                        ShardConfig::new(shards).with_tick_broadcast_ms(tick_broadcast_ms),
-                    )
-                    .build_sharded_sim(SimSchedule::random(mask ^ 0x71C7))
-                    .map_err(|e| e.to_string())?;
-                for (i, txn) in h.txns.iter().enumerate() {
-                    if i < ticks && mask & (1 << i) != 0 {
-                        ck.tick(i as u64 * 7);
-                    }
-                    ck.feed(txn.clone(), i as u64 * 7);
+        for mask in 0u64..(1 << ticks) {
+            let mut ck = builder()
+                .shards(shards)
+                .build_sharded_sim(SimSchedule::random(mask ^ 0x71C7))
+                .map_err(|e| e.to_string())?;
+            for (i, txn) in h.txns.iter().enumerate() {
+                if i < ticks && mask & (1 << i) != 0 {
+                    ck.tick(i as u64 * STEP_MS);
                 }
-                ck.tick(u64::MAX);
-                let outcome = Checker::finish(ck);
-                compare_outcomes(
-                    &reference,
-                    &outcome,
-                    &format!(
-                        "tick mask {mask:#b} shards={shards} tick_broadcast={tick_broadcast_ms}"
-                    ),
-                )?;
+                ck.feed(txn.clone(), i as u64 * STEP_MS);
             }
+            ck.tick(u64::MAX);
+            let outcome = Checker::finish(ck);
+            compare_outcomes(
+                &reference,
+                &outcome,
+                &format!("tick mask {mask:#b} shards={shards}"),
+            )?;
         }
     }
     Ok(())
@@ -131,12 +127,12 @@ pub fn authority_handoff_model(n: usize) -> Result<(), String> {
     for cut in 0..=h.txns.len() {
         for new_shards in [1usize, 2, 3] {
             let mut first = builder()
-                .shard_config(ShardConfig::new(2).with_tick_broadcast_ms(25))
+                .shards(2)
                 .build_sharded_sim(SimSchedule::pathological(cut as u64 ^ 0xA117))
                 .map_err(|e| e.to_string())?;
             for (i, txn) in h.txns[..cut].iter().enumerate() {
-                first.tick(i as u64 * 7);
-                first.feed(txn.clone(), i as u64 * 7);
+                first.tick(i as u64 * STEP_MS);
+                first.feed(txn.clone(), i as u64 * STEP_MS);
             }
             let bytes = first.checkpoint().map_err(|e| e.to_string())?;
             let _ = Checker::finish(first); // the interrupted process dies
@@ -147,7 +143,7 @@ pub fn authority_handoff_model(n: usize) -> Result<(), String> {
             )
             .map_err(|e| e.to_string())?;
             for (i, txn) in h.txns[cut..].iter().enumerate() {
-                let at = (cut + i) as u64 * 7;
+                let at = (cut + i) as u64 * STEP_MS;
                 resumed.tick(at);
                 resumed.feed(txn.clone(), at);
             }

@@ -34,20 +34,18 @@
 use crate::index::{KeyEventIndex, OngoingIndex, ReadRef};
 use crate::membership::MembershipIndex;
 use crate::spill::{SpillEntry, SpillStore};
-use crate::stats::{AionStats, FlipTracker};
+use crate::stats::FlipTracker;
 use aion_types::{
-    base_independent, classify_mismatch, expected_read, CheckEvent, CheckReport, Checker, DataKind,
-    EventKey, ExtPredicate, FxHashMap, FxHashSet, IsolationLevel, Key, LevelPolicy, MismatchAxiom,
-    Mutation, Op, Outcome, ReadAnchor, SessionId, SessionPredicate, ShardConfig, Snapshot,
-    Timestamp, Transaction, TxnId, Violation,
+    base_independent, classify_mismatch, expected_read, CheckEvent, CheckReport, Checker,
+    CheckerStats, DataKind, EventKey, ExtPredicate, FxHashMap, FxHashSet, IsolationLevel, Key,
+    LevelPolicy, MismatchAxiom, Mutation, Op, Outcome, ReadAnchor, SessionId, SessionPredicate,
+    Snapshot, Timestamp, Transaction, TxnId, Violation,
 };
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::path::PathBuf;
 
 use crate::versioned::VersionedMap;
-#[allow(deprecated)] // compatibility re-export, see `aion_types::check::Mode`
-pub use aion_types::check::Mode;
 
 /// Online garbage-collection policy (paper Fig. 12's three strategies).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -91,10 +89,6 @@ pub struct AionConfig {
     /// Collect per-pair flip-flop details (costs memory; enable for the
     /// §VI-C experiments).
     pub track_flip_details: bool,
-    /// Ablation switch: disable the paper's step-③ optimization that stops
-    /// re-checking at the next overwrite of each key, re-evaluating *every*
-    /// later reader instead. Same verdicts, strictly more work.
-    pub naive_recheck: bool,
     /// Spill segments to this file instead of in-memory buffers.
     pub spill_path: Option<PathBuf>,
     /// Materialize [`CheckEvent`]s from `receive`/`tick` (default: on).
@@ -102,10 +96,11 @@ pub struct AionConfig {
     /// events: verdicts and the report are unaffected, but the per-event
     /// clones and allocations on the hot path are skipped.
     pub events: bool,
-    /// Shard layout used when this configuration opens a
-    /// [`crate::sharded::ShardedChecker`] session (ignored by the
-    /// single-threaded [`OnlineChecker`]).
-    pub shard: ShardConfig,
+    /// Number of shard workers (1..=[`crate::MAX_SHARDS`]) when this
+    /// configuration opens a [`crate::sharded::ShardedChecker`] session;
+    /// ignored by the single-threaded [`OnlineChecker`]. Keys are
+    /// hash-partitioned across the workers.
+    pub shards: usize,
     /// Spill-IO fault-injection plan (testing only, used by the
     /// `aion-dst` harness; `None` in production). Shared across all
     /// shard workers of a session and *not* persisted in checkpoints.
@@ -132,10 +127,9 @@ impl Default for AionConfig {
             ext_timeout_ms: 5000,
             gc: OnlineGcPolicy::None,
             track_flip_details: false,
-            naive_recheck: false,
             spill_path: None,
             events: true,
-            shard: ShardConfig::default(),
+            shards: 4,
             spill_faults: None,
             coordinated: false,
             shard_filter: None,
@@ -172,6 +166,12 @@ pub enum ConfigError {
         /// The underlying I/O error.
         source: std::io::Error,
     },
+    /// A sharded session asked for more than [`crate::MAX_SHARDS`]
+    /// workers (one OS thread each).
+    TooManyShards {
+        /// The requested worker count.
+        requested: usize,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -179,6 +179,9 @@ impl std::fmt::Display for ConfigError {
         match self {
             ConfigError::SpillFile { path, source } => {
                 write!(f, "cannot create spill file {}: {source}", path.display())
+            }
+            ConfigError::TooManyShards { requested } => {
+                write!(f, "{requested} shards requested; at most {} allowed", crate::MAX_SHARDS)
             }
         }
     }
@@ -188,6 +191,7 @@ impl std::error::Error for ConfigError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ConfigError::SpillFile { source, .. } => Some(source),
+            ConfigError::TooManyShards { .. } => None,
         }
     }
 }
@@ -236,12 +240,6 @@ impl OnlineCheckerBuilder {
         self
     }
 
-    /// Pre-lattice spelling of [`level`](Self::level).
-    #[deprecated(since = "0.6.0", note = "renamed to `level` (or `levels` for mixed policies)")]
-    pub fn mode(self, mode: IsolationLevel) -> Self {
-        self.level(mode)
-    }
-
     /// EXT finalization timeout in virtual milliseconds (default: the
     /// paper's conservative 5 s).
     pub fn ext_timeout_ms(mut self, ms: u64) -> Self {
@@ -261,12 +259,6 @@ impl OnlineCheckerBuilder {
         self
     }
 
-    /// Disable the step-③ re-check bound (ablation; default: off).
-    pub fn naive_recheck(mut self, on: bool) -> Self {
-        self.cfg.naive_recheck = on;
-        self
-    }
-
     /// Spill segments to this file instead of in-memory buffers.
     pub fn spill_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.cfg.spill_path = Some(path.into());
@@ -281,15 +273,10 @@ impl OnlineCheckerBuilder {
     }
 
     /// Number of shard workers used by [`build_sharded`](Self::build_sharded)
-    /// (default: [`ShardConfig::default`]'s 4).
+    /// (default: 4; clamped to at least 1, and more than
+    /// [`crate::MAX_SHARDS`] fails at build time).
     pub fn shards(mut self, shards: usize) -> Self {
-        self.cfg.shard.shards = shards.max(1);
-        self
-    }
-
-    /// Full shard layout used by [`build_sharded`](Self::build_sharded).
-    pub fn shard_config(mut self, shard: ShardConfig) -> Self {
-        self.cfg.shard = shard;
+        self.cfg.shards = shards.max(1);
         self
     }
 
@@ -313,8 +300,9 @@ impl OnlineCheckerBuilder {
     }
 
     /// Finish building and open a sharded (parallel) checking session
-    /// over [`AionConfig::shard`] worker threads. Fails with a typed
-    /// [`ConfigError`] when any worker's spill file cannot be created.
+    /// over [`AionConfig::shards`] worker threads. Fails with a typed
+    /// [`ConfigError`] when the shard count exceeds [`crate::MAX_SHARDS`]
+    /// or any worker's spill file cannot be created.
     pub fn build_sharded(self) -> Result<crate::sharded::ShardedChecker, ConfigError> {
         crate::sharded::ShardedChecker::try_new(self.cfg)
     }
@@ -387,11 +375,6 @@ pub(crate) fn anchor_event(txn: &Transaction, level: IsolationLevel) -> EventKey
         ReadAnchor::Commit => txn.commit_event(),
     }
 }
-
-/// The outcome of an online checking session — the workspace-uniform
-/// [`Outcome`], carrying the report plus [`AionStats`] and flip-flop
-/// statistics (§VI-C).
-pub type AionOutcome = Outcome;
 
 /// The global (cross-key) admission checks: history integrity
 /// (duplicate tids/timestamps, Eq. 1 well-formedness) and SESSION.
@@ -557,7 +540,7 @@ pub struct OnlineChecker {
     pub(crate) now_ms: u64,
     pub(crate) report: CheckReport,
     pub(crate) flips: FlipTracker,
-    pub(crate) stats: AionStats,
+    pub(crate) stats: CheckerStats,
     /// Events produced since the last `receive`/`tick` returned.
     pub(crate) events: Vec<CheckEvent>,
 }
@@ -614,7 +597,7 @@ impl OnlineChecker {
             now_ms: 0,
             report: CheckReport::new(),
             flips,
-            stats: AionStats::default(),
+            stats: CheckerStats::default(),
             events: Vec::new(),
         })
     }
@@ -727,7 +710,7 @@ impl OnlineChecker {
     }
 
     /// Runtime counters so far.
-    pub fn stats(&self) -> AionStats {
+    pub fn stats(&self) -> CheckerStats {
         self.stats
     }
 
@@ -864,6 +847,18 @@ impl OnlineChecker {
     /// EXT timeout has expired (paper's `TIMEOUT` procedure), returning
     /// the finalizations and EXT violations that produced.
     pub fn tick(&mut self, now_ms: u64) -> Vec<CheckEvent> {
+        self.advance_clock(now_ms);
+        #[cfg(test)]
+        self.check_resident_index();
+        self.take_events()
+    }
+
+    /// Move the clock to `now_ms` (never backwards) and finalize every
+    /// transaction whose deadline is at or before it — the rule both
+    /// [`tick`](Self::tick) and [`receive`](Self::receive) follow, so an
+    /// arrival at `t` is always checked after every deadline `<= t`
+    /// fired, however often the driver ticks.
+    fn advance_clock(&mut self, now_ms: u64) {
         self.now_ms = self.now_ms.max(now_ms);
         while let Some(&Reverse((deadline, tid))) = self.deadlines.peek() {
             if deadline > self.now_ms {
@@ -872,9 +867,6 @@ impl OnlineChecker {
             self.deadlines.pop();
             self.finalize_txn(tid);
         }
-        #[cfg(test)]
-        self.check_resident_index();
-        self.take_events()
     }
 
     /// Finalize everything regardless of deadlines (end of stream).
@@ -888,7 +880,7 @@ impl OnlineChecker {
     }
 
     /// Drain and produce the outcome.
-    pub fn finish(mut self) -> AionOutcome {
+    pub fn finish(mut self) -> Outcome {
         self.drain();
         Outcome::new(self.checker_name(), self.report, self.stats.received)
             .with_stats(self.stats)
@@ -896,10 +888,13 @@ impl OnlineChecker {
     }
 
     /// Receive one transaction at (virtual) time `now_ms`, returning the
-    /// events this arrival produced: definitive violations, tentative
-    /// verdict flips of earlier transactions, and GC spill passes.
+    /// events this arrival produced: first the finalizations of every
+    /// deadline `<= now_ms` (the clock advances before the arrival is
+    /// checked, exactly as a `tick(now_ms)` would), then definitive
+    /// violations, tentative verdict flips of earlier transactions, and
+    /// GC spill passes.
     pub fn receive(&mut self, txn: Transaction, now_ms: u64) -> Vec<CheckEvent> {
-        self.now_ms = self.now_ms.max(now_ms);
+        self.advance_clock(now_ms);
         self.stats.received += 1;
         let level = self.cfg.levels.level_for(&txn);
 
@@ -1150,11 +1145,7 @@ impl OnlineChecker {
     /// just those readers beyond the bound.
     fn process_triggers(&mut self) {
         while let Some((key, from)) = self.triggers.pop_front() {
-            let bound = if self.cfg.naive_recheck {
-                EventKey::INFINITY
-            } else {
-                self.frontier.next_after(key, from).unwrap_or(EventKey::INFINITY)
-            };
+            let bound = self.frontier.next_after(key, from).unwrap_or(EventKey::INFINITY);
             for (anchor_ev, rref) in self.readers.range(key, from, bound) {
                 self.re_evaluate(rref, key, anchor_ev, false);
             }
@@ -2036,13 +2027,12 @@ mod tests {
             .ext_timeout_ms(123)
             .gc(OnlineGcPolicy::Full { max_txns: 7 })
             .track_flip_details(true)
-            .naive_recheck(true)
             .config();
         assert_eq!(cfg.kind, DataKind::List);
         assert_eq!(cfg.uniform_level(), Some(IsolationLevel::Ser));
         assert_eq!(cfg.ext_timeout_ms, 123);
         assert_eq!(cfg.gc, OnlineGcPolicy::Full { max_txns: 7 });
-        assert!(cfg.track_flip_details && cfg.naive_recheck);
+        assert!(cfg.track_flip_details);
         let ck = OnlineChecker::builder().level(IsolationLevel::Ser).build().unwrap();
         assert_eq!(ck.checker_name(), "aion-ser");
         assert_eq!(Checker::name(&ck), "aion-ser");
@@ -2054,12 +2044,11 @@ mod tests {
         let Err(err) = OnlineChecker::builder().spill_path(bad.clone()).build() else {
             panic!("opening a session with an uncreatable spill file must fail");
         };
-        match &err {
-            ConfigError::SpillFile { path, source } => {
-                assert_eq!(path, &bad);
-                assert_eq!(source.kind(), std::io::ErrorKind::NotFound);
-            }
-        }
+        let ConfigError::SpillFile { path, source } = &err else {
+            panic!("expected a spill-file error, got {err}");
+        };
+        assert_eq!(path, &bad);
+        assert_eq!(source.kind(), std::io::ErrorKind::NotFound);
         assert!(err.to_string().contains("spill file"), "{err}");
         assert!(std::error::Error::source(&err).is_some());
         // The sharded constructor surfaces the same error (suffixed per

@@ -35,20 +35,16 @@ pub mod stats;
 pub mod transport;
 pub mod versioned;
 
-pub use aion_types::check::{CheckEvent, Checker, Outcome, ShardConfig};
+pub use aion_types::check::{CheckEvent, Checker, Outcome};
 pub use aion_types::{IsolationLevel, LevelPolicy};
-#[allow(deprecated)] // compatibility re-export, see `aion_types::check::Mode`
-pub use checker::Mode;
-pub use checker::{
-    AionConfig, AionOutcome, ConfigError, OnlineChecker, OnlineCheckerBuilder, OnlineGcPolicy,
-};
+pub use checker::{AionConfig, ConfigError, OnlineChecker, OnlineCheckerBuilder, OnlineGcPolicy};
 pub use feed::{
     feed_plan, route_txn, run_plan, shard_of, Arrival, FeedConfig, OnlineRunReport, RoutedTxn,
     TimedEvent,
 };
 pub use membership::MembershipIndex;
-pub use sharded::ShardedChecker;
+pub use sharded::{ShardedChecker, MAX_SHARDS};
 pub use spill::{SpillEntry, SpillFaultPlan, SpillStore};
-pub use stats::{AionStats, FlipSummary};
+pub use stats::FlipSummary;
 pub use transport::{SimSchedule, SimStats};
 pub use versioned::VersionedMap;

@@ -32,15 +32,22 @@
 //!   deterministically) into one uniform [`Outcome`], fixing up
 //!   `received`/`finalized` to whole-transaction counts.
 //!
-//! Workers catch their virtual clock up before processing each arrival,
-//! so EXT finalization *verdicts* are identical to the single checker's
-//! regardless of when `tick`s are forwarded; the coordinator therefore
-//! rate-limits clock broadcasts to
-//! [`aion_types::ShardConfig::tick_broadcast_ms`] and only pays the fan-out when
-//! the clock meaningfully advances. `tick(u64::MAX)` (the end-of-stream
-//! drain used by [`crate::feed::run_plan`]) is a synchronous barrier:
-//! it flushes every worker so end-of-stream finalizations surface as
-//! events before `finish`.
+//! An arrival advances the clock, for every checker:
+//! [`OnlineChecker::receive`] fires each deadline at or before the
+//! arrival's time before checking it, and every routed part carries the
+//! coordinator's clock. EXT finalization *verdicts* therefore match the
+//! single checker's however often `tick` is called, and the coordinator
+//! broadcasts a finite `tick` to the workers at most once per
+//! `TICK_BROADCAST_MS` (50) virtual ms: broadcasts only make *idle*
+//! shards surface their finalization events sooner. `tick(u64::MAX)`
+//! (the end-of-stream drain used by [`crate::feed::run_plan`]) is a
+//! synchronous barrier: it flushes every worker so end-of-stream
+//! finalizations surface as events before `finish`.
+//!
+//! Each arrival is one `Feed` message per routed part; that is the
+//! coordinator's only ingress. Routing every arrival through a batch
+//! path instead (a single arrival as a batch of one) raised the median
+//! per-arrival latency by about 40% (see `ROADMAP.md`, item 5).
 //!
 //! ```
 //! use aion_online::OnlineChecker;
@@ -80,6 +87,16 @@ use bytes::{BufMut, BytesMut};
 use std::cmp::Reverse;
 use std::path::Path;
 use std::sync::Arc;
+
+/// Most shard workers one session may run. Each worker is an OS thread,
+/// and shard counts arrive from outside the program (daemon requests,
+/// checkpoint files), so larger counts are refused with a typed error
+/// before any worker is built.
+pub const MAX_SHARDS: usize = 256;
+
+/// Minimum virtual-time advance (ms) between finite clock broadcasts to
+/// the workers (see the module docs: broadcasts never change verdicts).
+const TICK_BROADCAST_MS: u64 = 50;
 
 /// Merge state for one read-bearing transaction, driven entirely by
 /// worker replies: the coordinator only knows how many `Fed` replies
@@ -129,7 +146,7 @@ pub struct ShardedChecker {
 }
 
 impl ShardedChecker {
-    /// Open a sharded session over `cfg.shard.shards` workers, each
+    /// Open a sharded session over `cfg.shards` workers, each
     /// running an [`OnlineChecker`] with this configuration scoped to
     /// its key partition. Per-shard GC budgets divide
     /// [`OnlineGcPolicy`]'s `max_txns` evenly; a configured spill path
@@ -137,17 +154,18 @@ impl ShardedChecker {
     ///
     /// # Panics
     ///
-    /// Panics when a worker's spill file cannot be created; use
-    /// [`ShardedChecker::try_new`] to handle that as a typed
-    /// [`ConfigError`] instead.
+    /// Panics when the shard count exceeds [`MAX_SHARDS`] or a worker's
+    /// spill file cannot be created; use [`ShardedChecker::try_new`] to
+    /// handle those as a typed [`ConfigError`] instead.
     pub fn new(cfg: AionConfig) -> ShardedChecker {
         // aion-lint: allow(panic-freedom) — documented constructor
         // contract; `try_new` is the typed-error path
         ShardedChecker::try_new(cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`ShardedChecker::new`], surfacing configuration problems (an
-    /// uncreatable worker spill file) as a typed [`ConfigError`].
+    /// [`ShardedChecker::new`], surfacing configuration problems (more
+    /// than [`MAX_SHARDS`] workers, an uncreatable worker spill file) as
+    /// a typed [`ConfigError`].
     /// Every worker checker is constructed *before* any thread spawns,
     /// so a failure leaves no half-started session behind.
     pub fn try_new(cfg: AionConfig) -> Result<ShardedChecker, ConfigError> {
@@ -168,7 +186,7 @@ impl ShardedChecker {
     /// Every worker checker is constructed *before* any thread spawns,
     /// so a failure leaves no half-started session behind.
     fn worker_checkers(cfg: &AionConfig) -> Result<Vec<OnlineChecker>, ConfigError> {
-        let shards = cfg.shard.shards.max(1);
+        let shards = check_shards(cfg.shards)?;
         let mut checkers = Vec::with_capacity(shards);
         for shard in 0..shards {
             checkers.push(OnlineChecker::try_new(worker_config(cfg, shard, shards))?);
@@ -177,7 +195,7 @@ impl ShardedChecker {
     }
 
     fn fresh(cfg: AionConfig, transport: Box<dyn ShardTransport>) -> ShardedChecker {
-        let shards = cfg.shard.shards.max(1);
+        let shards = cfg.shards.max(1);
         ShardedChecker {
             cfg,
             shards,
@@ -194,13 +212,13 @@ impl ShardedChecker {
     }
 
     /// A sharded session with `shards` workers over an otherwise
-    /// default configuration (in-memory spilling: infallible).
+    /// default configuration (in-memory spilling).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shards` exceeds [`MAX_SHARDS`].
     pub fn with_shards(shards: usize) -> ShardedChecker {
-        let mut cfg = AionConfig::default();
-        cfg.shard.shards = shards.max(1);
-        // aion-lint: allow(panic-freedom) — the only constructor error
-        // is an uncreatable spill file, and this config spills in memory
-        ShardedChecker::try_new(cfg).expect("in-memory sessions cannot fail to open")
+        ShardedChecker::new(AionConfig { shards, ..AionConfig::default() })
     }
 
     /// The session's configuration.
@@ -282,60 +300,6 @@ impl ShardedChecker {
         std::mem::take(&mut self.events)
     }
 
-    /// Receive a run of arrivals in order, amortizing the channel
-    /// traffic: global checks, routing and pending-merge registration
-    /// happen per arrival exactly as in [`ShardedChecker::receive`], but
-    /// each shard gets **one** `ShardCmd::FeedBatch` carrying all of
-    /// its parts (in arrival order, so per-worker FIFO — and therefore
-    /// every verdict — is unchanged) instead of one channel send per
-    /// part.
-    pub fn receive_batch(&mut self, batch: Vec<(Transaction, u64)>) -> Vec<CheckEvent> {
-        let mut per_shard: Vec<Vec<(Arc<Transaction>, u64)>> = vec![Vec::new(); self.shards];
-        for (txn, now_ms) in batch {
-            self.now_ms = self.now_ms.max(now_ms);
-            self.received += 1;
-
-            let level = self.cfg.levels.level_for(&txn);
-            let mut violations = Vec::new();
-            let admitted = self.globals.admit(&txn, level, |violation| violations.push(violation));
-            for violation in violations {
-                self.emit(violation);
-            }
-            if !admitted {
-                self.dropped += 1;
-                continue;
-            }
-
-            let tid = txn.tid;
-            let now = self.now_ms;
-            match route_txn(txn, self.shards) {
-                RoutedTxn::Single { shard, txn } => {
-                    self.track_pending(tid, &txn, 1);
-                    // aion-lint: allow(panic-freedom) — `route_txn`
-                    // computes shards modulo `self.shards`, the buffer's
-                    // exact length
-                    per_shard[shard].push((Arc::new(txn), now));
-                }
-                RoutedTxn::Split { shards, txn } => {
-                    self.track_pending(tid, &txn, shards.len() as u32);
-                    let txn = Arc::new(txn);
-                    for &shard in &shards {
-                        // aion-lint: allow(panic-freedom) — same modulo
-                        // bound as the single-shard arm
-                        per_shard[shard].push((Arc::clone(&txn), now));
-                    }
-                }
-            }
-        }
-        for (shard, parts) in per_shard.into_iter().enumerate() {
-            if !parts.is_empty() {
-                self.send(shard, ShardCmd::FeedBatch { parts });
-            }
-        }
-        self.pump();
-        std::mem::take(&mut self.events)
-    }
-
     /// Register the number of routed parts whose `Fed` replies will
     /// drive the `ExtFinalized` merge. Transactions with no reads at
     /// all are skipped — no shard can ever report tentative verdicts
@@ -365,18 +329,16 @@ impl ShardedChecker {
     }
 
     /// Advance the virtual clock. Broadcasts to workers at most every
-    /// [`aion_types::ShardConfig::tick_broadcast_ms`] virtual ms —
-    /// workers self-tick before each arrival, so this only affects how
-    /// promptly idle shards surface finalization *events*, never
-    /// verdicts. `u64::MAX` drains synchronously (see module docs).
+    /// `TICK_BROADCAST_MS` virtual ms — every arrival advances its
+    /// worker's clock, so this only affects how promptly idle shards
+    /// surface finalization *events*, never verdicts. `u64::MAX` drains
+    /// synchronously (see module docs).
     pub fn tick(&mut self, now_ms: u64) -> Vec<CheckEvent> {
         self.now_ms = self.now_ms.max(now_ms);
         if now_ms == u64::MAX {
             self.broadcast_tick(u64::MAX);
             self.barrier();
-        } else if now_ms.saturating_sub(self.last_tick_broadcast)
-            >= self.cfg.shard.tick_broadcast_ms
-        {
+        } else if now_ms.saturating_sub(self.last_tick_broadcast) >= TICK_BROADCAST_MS {
             self.broadcast_tick(now_ms);
         }
         self.pump();
@@ -638,6 +600,10 @@ impl ShardedChecker {
     /// and event *timing* may differ — resharding is verdict-equivalent,
     /// not byte-identical (`tests/snapshot_differential.rs` pins the
     /// former for the same-topology paths).
+    ///
+    /// More than [`MAX_SHARDS`] workers is refused before the checkpoint
+    /// is decoded, as a [`SnapshotError::Io`] of kind `InvalidInput`
+    /// wrapping [`ConfigError::TooManyShards`].
     pub fn restore_resharded(
         bytes: &[u8],
         new_shards: usize,
@@ -662,9 +628,9 @@ impl ShardedChecker {
         new_shards: usize,
         mk: impl FnOnce(Vec<OnlineChecker>) -> Box<dyn ShardTransport>,
     ) -> Result<ShardedChecker, SnapshotError> {
+        let new_shards = check_shards(new_shards)?;
         let (mut parsed, old_workers) = SharedParse::read(bytes)?;
-        let new_shards = new_shards.max(1);
-        parsed.cfg.shard.shards = new_shards;
+        parsed.cfg.shards = new_shards;
         parsed.shards = new_shards;
         let workers = resplit_workers(old_workers, &parsed.cfg, new_shards)?;
 
@@ -716,11 +682,14 @@ impl SharedParse {
         if kind != SNAPSHOT_KIND_SHARDED {
             return Err(SnapshotError::WrongKind { expected: SNAPSHOT_KIND_SHARDED, found: kind });
         }
-        let cfg = get_config(&mut slice)?;
-        let shards = get_varint(&mut slice)? as usize;
-        if shards == 0 || shards > u16::MAX as usize {
-            return Err(SnapshotError::Corrupt(format!("implausible shard count {shards}")));
+        let cfg = get_config(&mut slice, version)?;
+        let shards = get_varint(&mut slice)?;
+        if shards == 0 || shards > MAX_SHARDS as u64 {
+            return Err(SnapshotError::Corrupt(format!(
+                "shard count {shards} outside 1..={MAX_SHARDS}"
+            )));
         }
+        let shards = shards as usize;
         let mut workers = Vec::with_capacity(shards);
         for _ in 0..shards {
             let len = get_varint(&mut slice)? as usize;
@@ -796,6 +765,15 @@ impl SharedParse {
             events: self.events,
         }
     }
+}
+
+/// `requested` clamped to at least one worker, or
+/// [`ConfigError::TooManyShards`] above [`MAX_SHARDS`].
+fn check_shards(requested: usize) -> Result<usize, ConfigError> {
+    if requested > MAX_SHARDS {
+        return Err(ConfigError::TooManyShards { requested });
+    }
+    Ok(requested.max(1))
 }
 
 /// The per-worker configuration derived from a session configuration:
@@ -929,11 +907,7 @@ fn resplit_workers(
 
     let mut workers = Vec::with_capacity(new_shards);
     for m in 0..new_shards {
-        let mut w = OnlineChecker::try_new(worker_config(base_cfg, m, new_shards)).map_err(
-            |e| match e {
-                ConfigError::SpillFile { source, .. } => SnapshotError::Io(source),
-            },
-        )?;
+        let mut w = OnlineChecker::try_new(worker_config(base_cfg, m, new_shards))?;
         w.now_ms = now_ms;
         workers.push(w);
     }
@@ -1027,13 +1001,6 @@ impl Checker for ShardedChecker {
 
     fn feed(&mut self, txn: Transaction, now_ms: u64) -> Vec<CheckEvent> {
         self.receive(txn, now_ms)
-    }
-
-    /// Batched ingest: one `ShardCmd::FeedBatch` per shard instead of
-    /// one channel send per routed part (see
-    /// [`ShardedChecker::receive_batch`]).
-    fn feed_batch(&mut self, batch: Vec<(Transaction, u64)>) -> Vec<CheckEvent> {
-        self.receive_batch(batch)
     }
 
     fn tick(&mut self, now_ms: u64) -> Vec<CheckEvent> {
@@ -1205,6 +1172,107 @@ mod tests {
         assert_eq!(a.report.violations, b.report.violations);
         assert_eq!(a.flips.total_flips, b.flips.total_flips);
         assert_eq!(a.stats.finalized, b.stats.finalized);
+    }
+
+    #[test]
+    fn an_arrival_fires_due_deadlines_in_every_checker() {
+        // T1 reads k1=5 at t=0 (EXT deadline 5000 under the default 5 s
+        // timeout); its writer T2 arrives at t=6000 with no tick in
+        // between. The arrival itself must finalize T1 first, so T1's
+        // read stays an EXT violation in the single checker and in the
+        // sharded one alike.
+        let reader = t(1, 0, 0, 3, 4).read(Key(1), Value(5)).build();
+        let writer = t(2, 1, 0, 1, 2).put(Key(1), Value(5)).build();
+        let mut single = OnlineChecker::new_si(DataKind::Kv);
+        single.receive(reader.clone(), 0);
+        single.receive(writer.clone(), 6_000);
+        let mut two = sharded(2);
+        two.receive(reader, 0);
+        two.receive(writer, 6_000);
+        let (a, b) = (single.finish(), two.finish());
+        assert_eq!(a.report.count(AxiomKind::Ext), 1, "single: {}", a.report);
+        assert_eq!(b.report.count(AxiomKind::Ext), 1, "sharded: {}", b.report);
+        assert_eq!(a.report.violations, b.report.violations);
+    }
+
+    /// The shard counts every path must refuse.
+    const TOO_MANY: [usize; 2] = [MAX_SHARDS + 1, u64::MAX as usize];
+
+    #[test]
+    fn too_many_shards_is_refused_before_any_worker_is_built() {
+        // Worker construction fails on this spill path, so getting
+        // `TooManyShards` back proves the count was checked first — and
+        // no worker thread was started.
+        let bad = std::path::PathBuf::from("/nonexistent-dir-aion/spill.bin");
+        for n in TOO_MANY {
+            let cfg = OnlineChecker::builder().spill_path(bad.clone()).shards(n).config();
+            let Err(err) = ShardedChecker::try_new(cfg.clone()) else {
+                panic!("{n} shards must be refused");
+            };
+            assert!(matches!(err, ConfigError::TooManyShards { requested } if requested == n));
+            let sim = ShardedChecker::try_new_sim(cfg, SimSchedule::random(1));
+            assert!(matches!(sim, Err(ConfigError::TooManyShards { .. })));
+        }
+        let at_cap = OnlineChecker::builder().spill_path(bad).shards(MAX_SHARDS).config();
+        assert!(matches!(ShardedChecker::try_new(at_cap), Err(ConfigError::SpillFile { .. })));
+    }
+
+    #[test]
+    fn resharding_onto_too_many_shards_is_refused_before_decoding() {
+        // A checkpoint whose spill directory is gone: restoring it builds
+        // workers and fails on their spill files, so `TooManyShards`
+        // coming back instead proves the count is checked first.
+        let dir = std::env::temp_dir().join(format!("aion-reshard-cap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut ck = OnlineChecker::builder()
+            .spill_path(dir.join("spill"))
+            .shards(2)
+            .build_sharded()
+            .unwrap();
+        ck.receive(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).build(), 0);
+        let bytes = ck.checkpoint().unwrap();
+        ck.finish();
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let Err(SnapshotError::Io(e)) = ShardedChecker::restore_resharded(&bytes, 2) else {
+            panic!("restoring onto a missing spill directory must fail");
+        };
+        assert_eq!(e.kind(), std::io::ErrorKind::NotFound);
+        for n in TOO_MANY {
+            let Err(SnapshotError::Io(e)) = ShardedChecker::restore_resharded(&bytes, n) else {
+                panic!("{n} shards must be refused");
+            };
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
+            let inner = e.get_ref().and_then(|e| e.downcast_ref::<ConfigError>());
+            assert!(
+                matches!(inner, Some(ConfigError::TooManyShards { requested }) if *requested == n)
+            );
+            let sim = ShardedChecker::restore_resharded_sim(&bytes, n, SimSchedule::random(1));
+            assert!(matches!(sim, Err(SnapshotError::Io(_))));
+        }
+    }
+
+    #[test]
+    fn checkpoints_naming_too_many_shards_are_corrupt() {
+        // The count precedes the worker bodies: an in-range count over a
+        // body-less file runs out of bytes, an out-of-range one is
+        // refused before any body is decoded.
+        let header = |n: u64| {
+            let mut buf = BytesMut::new();
+            put_snapshot_header(&mut buf, SNAPSHOT_KIND_SHARDED);
+            put_config(&mut buf, &AionConfig::default());
+            put_varint(&mut buf, n);
+            buf.to_vec()
+        };
+        assert!(matches!(ShardedChecker::restore(&header(2)), Err(SnapshotError::Codec(_))));
+        for n in [MAX_SHARDS as u64 + 1, u64::MAX] {
+            let bytes = header(n);
+            assert!(matches!(ShardedChecker::restore(&bytes), Err(SnapshotError::Corrupt(_))));
+            assert!(matches!(
+                ShardedChecker::restore_resharded(&bytes, 2),
+                Err(SnapshotError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

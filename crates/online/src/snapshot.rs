@@ -157,7 +157,6 @@ pub(crate) fn put_config(buf: &mut impl BufMut, cfg: &AionConfig) {
         }
     }
     put_bool(buf, cfg.track_flip_details);
-    put_bool(buf, cfg.naive_recheck);
     match &cfg.spill_path {
         None => put_bool(buf, false),
         Some(p) => {
@@ -166,8 +165,7 @@ pub(crate) fn put_config(buf: &mut impl BufMut, cfg: &AionConfig) {
         }
     }
     put_bool(buf, cfg.events);
-    put_varint(buf, cfg.shard.shards as u64);
-    put_varint(buf, cfg.shard.tick_broadcast_ms);
+    put_varint(buf, cfg.shards as u64);
     put_bool(buf, cfg.coordinated);
     match cfg.shard_filter {
         None => put_bool(buf, false),
@@ -179,10 +177,13 @@ pub(crate) fn put_config(buf: &mut impl BufMut, cfg: &AionConfig) {
     }
 }
 
+/// Decode a configuration section written at schema `version`. A v3
+/// section also carries the step-③ ablation flag and the shard
+/// clock-broadcast granularity; both are read and discarded.
 // Sequential assignment keeps the decode in wire-field order, mirroring
 // `put_config` line for line.
 #[allow(clippy::field_reassign_with_default)]
-pub(crate) fn get_config(buf: &mut impl Buf) -> Result<AionConfig, CodecError> {
+pub(crate) fn get_config(buf: &mut impl Buf, version: u8) -> Result<AionConfig, CodecError> {
     let mut cfg = AionConfig::default();
     cfg.kind = match get_u8(buf)? {
         0 => DataKind::Kv,
@@ -211,11 +212,15 @@ pub(crate) fn get_config(buf: &mut impl Buf) -> Result<AionConfig, CodecError> {
         t => return Err(CodecError::BadTag(t)),
     };
     cfg.track_flip_details = get_bool(buf)?;
-    cfg.naive_recheck = get_bool(buf)?;
+    if version < 4 {
+        get_bool(buf)?;
+    }
     cfg.spill_path = if get_bool(buf)? { Some(PathBuf::from(get_string(buf)?)) } else { None };
     cfg.events = get_bool(buf)?;
-    cfg.shard.shards = get_varint(buf)? as usize;
-    cfg.shard.tick_broadcast_ms = get_varint(buf)?;
+    cfg.shards = get_varint(buf)? as usize;
+    if version < 4 {
+        get_varint(buf)?;
+    }
     cfg.coordinated = get_bool(buf)?;
     cfg.shard_filter = if get_bool(buf)? {
         Some((get_varint(buf)? as usize, get_varint(buf)? as usize))
@@ -418,9 +423,17 @@ fn get_flips(buf: &mut impl Buf) -> Result<FlipTracker, CodecError> {
 
 // --- the single-checker body ---------------------------------------------
 
-fn config_error(e: ConfigError) -> SnapshotError {
-    match e {
-        ConfigError::SpillFile { source, .. } => SnapshotError::Io(source),
+/// A restore whose configuration cannot open a session: an uncreatable
+/// spill file surfaces as its I/O error; a refused shard count as an
+/// `InvalidInput` I/O error wrapping the typed [`ConfigError`].
+impl From<ConfigError> for SnapshotError {
+    fn from(e: ConfigError) -> Self {
+        match e {
+            ConfigError::SpillFile { source, .. } => SnapshotError::Io(source),
+            e @ ConfigError::TooManyShards { .. } => {
+                SnapshotError::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, e))
+            }
+        }
     }
 }
 
@@ -597,8 +610,8 @@ impl OnlineChecker {
             buf.put_slice(&seg.bytes);
         }
 
-        // v3: committed-membership summaries (already canonically sorted)
-        // and the reload floor.
+        // Committed-membership summaries (already canonically sorted) and
+        // the reload floor.
         let entries = self.membership.sorted_entries();
         put_varint(buf, entries.len() as u64);
         for (k, e, s) in entries {
@@ -612,17 +625,18 @@ impl OnlineChecker {
 
     /// Body reader shared by the single and the sharded restore.
     /// `version` is the envelope schema version (already validated to be
-    /// in the supported range); v2 bodies end at the spill segments.
+    /// in the supported range); it only changes the configuration
+    /// section (see [`get_config`]).
     pub(crate) fn read_snapshot_body(
         buf: &mut &[u8],
         version: u8,
         spill_override: Option<Option<PathBuf>>,
     ) -> Result<OnlineChecker, SnapshotError> {
-        let mut cfg = get_config(buf)?;
+        let mut cfg = get_config(buf, version)?;
         if let Some(path) = spill_override {
             cfg.spill_path = path;
         }
-        let mut ck = OnlineChecker::try_new(cfg).map_err(config_error)?;
+        let mut ck = OnlineChecker::try_new(cfg)?;
         ck.globals = get_globals(buf)?;
 
         for _ in 0..get_varint(buf)? {
@@ -711,25 +725,13 @@ impl OnlineChecker {
         }
         ck.spill.import_segments(segments)?;
 
-        if version >= 3 {
-            for _ in 0..get_varint(buf)? {
-                let k = Key(get_varint(buf)?);
-                let e = get_event_key(buf)?;
-                let s = codec::get_snapshot(buf)?;
-                ck.membership.record(k, e, &s, None);
-            }
-            ck.reload_floor = Timestamp(get_varint(buf)?);
-        } else if ck.has_committed_ext {
-            // v2 body: rebuild the summaries from the frontier. Exact,
-            // because v2 writers latched the frontier against pruning
-            // whenever committed-EXT readers were possible, so every
-            // committed version is still in it.
-            let versions: Vec<(Key, EventKey, aion_types::Snapshot)> =
-                ck.frontier.iter().map(|(k, e, s)| (k, e, s.clone())).collect();
-            for (k, e, s) in versions {
-                ck.membership.record(k, e, &s, None);
-            }
+        for _ in 0..get_varint(buf)? {
+            let k = Key(get_varint(buf)?);
+            let e = get_event_key(buf)?;
+            let s = codec::get_snapshot(buf)?;
+            ck.membership.record(k, e, &s, None);
         }
+        ck.reload_floor = Timestamp(get_varint(buf)?);
         ck.rebuild_resident_index();
         Ok(ck)
     }
@@ -801,53 +803,6 @@ mod tests {
         assert!(matches!(OnlineChecker::restore(&trailing), Err(SnapshotError::Corrupt(_))));
     }
 
-    /// A v2 writer latched the frontier against pruning whenever
-    /// committed-EXT readers were possible, so a v2 body is exactly a v3
-    /// body minus the membership tail. Craft one by stripping the tail
-    /// off a v3 snapshot and patching the version byte: restore must
-    /// rebuild identical summaries from the retained frontier and keep
-    /// checking identically.
-    #[test]
-    fn v2_snapshot_without_membership_tail_still_restores() {
-        let mut ck = OnlineChecker::builder().level(IsolationLevel::ReadCommitted).build().unwrap();
-        for i in 0..10u64 {
-            ck.feed(
-                t(i + 1, 0, i as u32, 10 * i + 1, 10 * i + 2).put(Key(i % 3), Value(i)).build(),
-                i,
-            );
-        }
-        let snap = ck.checkpoint().unwrap();
-        assert!(!ck.membership.is_empty(), "the test needs live summaries");
-
-        // Re-encode the v3 tail with the same codec to learn its length.
-        let mut tail = BytesMut::new();
-        let entries = ck.membership.sorted_entries();
-        put_varint(&mut tail, entries.len() as u64);
-        for (k, e, s) in entries {
-            put_varint(&mut tail, k.0);
-            put_event_key(&mut tail, e);
-            codec::put_snapshot(&mut tail, s);
-        }
-        put_varint(&mut tail, ck.reload_floor.0);
-
-        let mut v2 = snap[..snap.len() - tail.len()].to_vec();
-        assert_eq!(v2[8], 3, "version byte lives after the 8-byte magic");
-        v2[8] = 2;
-        let mut back = OnlineChecker::restore(&v2).unwrap();
-        assert_eq!(
-            back.membership.sorted_entries(),
-            ck.membership.sorted_entries(),
-            "v2 restore rebuilds the summaries from the retained frontier"
-        );
-        // The restored session answers stale committed RC reads like the
-        // uninterrupted one.
-        let stale = || t(100, 1, 0, 200, 201).read(Key(0), Value(0)).build();
-        assert_eq!(ck.feed(stale(), 100), back.feed(stale(), 100));
-        let (oa, ob) = (ck.finish(), back.finish());
-        assert_eq!(oa.report.violations, ob.report.violations);
-        assert!(oa.is_ok(), "stale committed reads are RC-legal: {}", oa.report);
-    }
-
     #[test]
     fn wrong_kind_is_rejected() {
         let mut buf = BytesMut::new();
@@ -860,7 +815,7 @@ mod tests {
 
     #[test]
     fn config_roundtrip_preserves_mixed_policies() {
-        let mut cfg = AionConfig {
+        let cfg = AionConfig {
             levels: LevelPolicy::per_session(
                 [
                     (SessionId(3), IsolationLevel::Ser),
@@ -871,16 +826,17 @@ mod tests {
             gc: OnlineGcPolicy::Full { max_txns: 77 },
             shard_filter: Some((1, 3)),
             coordinated: true,
+            shards: 3,
             ..AionConfig::default()
         };
-        cfg.shard.shards = 3;
         let mut buf = BytesMut::new();
         put_config(&mut buf, &cfg);
-        let back = get_config(&mut &buf[..]).unwrap();
+        let back = get_config(&mut &buf[..], aion_types::snapshot::SNAPSHOT_VERSION).unwrap();
         assert_eq!(back.levels.level_for(&t(1, 3, 0, 1, 2).build()), IsolationLevel::Ser);
         assert_eq!(back.levels.level_for(&t(1, 9, 0, 1, 2).build()), IsolationLevel::Si);
         assert_eq!(back.gc, OnlineGcPolicy::Full { max_txns: 77 });
         assert_eq!(back.shard_filter, Some((1, 3)));
+        assert_eq!(back.shards, 3);
         assert!(back.coordinated);
     }
 }

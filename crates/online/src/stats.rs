@@ -9,15 +9,11 @@
 //!
 //! The aggregate types live in `aion_types::check` so the uniform
 //! [`aion_types::Outcome`] can carry them for every checker; they are
-//! re-exported here under their historical names.
+//! re-exported here.
 
 use aion_types::{FxHashMap, FxHashSet, Key, TxnId};
 
 pub use aion_types::check::{CheckerStats, FlipSummary};
-
-/// Historical name for the online checker's runtime counters, now the
-/// workspace-wide [`CheckerStats`].
-pub type AionStats = CheckerStats;
 
 /// Collects flip-flop events.
 ///

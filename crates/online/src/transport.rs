@@ -5,11 +5,8 @@
 //! directly:
 //!
 //! * `ThreadTransport` — the production implementation: one OS thread
-//!   per shard, fed over crossbeam channels, exactly the pre-seam
-//!   behaviour (and the same code path: the coordinator's calls compile
-//!   to the same sends/recvs as before, so the abstraction costs one
-//!   virtual dispatch per *message*, not per operation — pinned by the
-//!   `dst-overhead` rows in `BENCH_aion.json`).
+//!   per shard, fed over crossbeam channels; the abstraction costs one
+//!   virtual dispatch per *message*, not per operation.
 //! * `SimTransport` — a single-threaded deterministic simulator used
 //!   by the `aion-dst` harness: workers run inline, delivery of commands
 //!   and replies is interleaved, delayed and (for droppable clock
@@ -24,9 +21,9 @@
 //! simulator perturbs is everything the contract does *not* promise:
 //! cross-worker interleaving, delivery latency, how long a worker sits
 //! on a queued command, and whether a rate-limited clock broadcast
-//! arrives at all (workers self-tick before each arrival, so verdicts
-//! must not depend on broadcast ticks — [`SimSchedule::drop_tick_p`]
-//! exists to falsify exactly that claim).
+//! arrives at all (every arrival advances its worker's clock, so
+//! verdicts must not depend on broadcast ticks —
+//! [`SimSchedule::drop_tick_p`] exists to falsify exactly that claim).
 
 use crate::checker::OnlineChecker;
 use aion_types::rng::SplitMix64;
@@ -41,17 +38,11 @@ use std::thread::JoinHandle;
 /// Commands the coordinator sends to a shard worker.
 pub(crate) enum ShardCmd {
     /// Process one (sub-)transaction at virtual time `now_ms` (the
-    /// worker ticks its clock up to `now_ms` first). Shared via `Arc`
+    /// arrival advances the worker's clock to `now_ms` first). Shared via `Arc`
     /// so a split transaction is *not* deep-cloned on the coordinator's
     /// critical path — the last worker to unwrap it takes ownership,
     /// the others clone in parallel on their own threads.
     Feed { txn: Arc<Transaction>, now_ms: u64 },
-    /// Process a run of (sub-)transactions in order, exactly as if each
-    /// had been sent as its own [`ShardCmd::Feed`] — one channel send
-    /// amortized over the whole run, one `Fed` reply per part. Never
-    /// dropped by the simulator (only finite `Tick`s are droppable), so
-    /// batching cannot change verdicts under any schedule.
-    FeedBatch { parts: Vec<(Arc<Transaction>, u64)> },
     /// Advance the worker's virtual clock, firing EXT timeouts.
     Tick { now_ms: u64 },
     /// Acknowledge once every prior command has been processed.
@@ -111,11 +102,18 @@ pub(crate) fn worker_step(
     let Some(ck) = checker.as_mut() else { return out };
     match cmd {
         ShardCmd::Feed { txn, now_ms } => {
-            feed_one(ck, txn, now_ms, events_on, &mut out.replies);
-        }
-        ShardCmd::FeedBatch { parts } => {
-            for (txn, now_ms) in parts {
-                feed_one(ck, txn, now_ms, events_on, &mut out.replies);
+            let tid = txn.tid;
+            // Last holder takes ownership; other shards of a split
+            // transaction deep-clone here, off the coordinator's critical
+            // path.
+            let txn = Arc::try_unwrap(txn).unwrap_or_else(|shared| (*shared).clone());
+            let events = ck.receive(txn, now_ms);
+            if events_on {
+                // Whether this shard still holds tentative reads for the
+                // transaction — the single source of truth the
+                // coordinator's ExtFinalized merge is driven by.
+                let pending = ck.is_pending(tid);
+                out.replies.push(ShardReply::Fed { tid, pending, events });
             }
         }
         ShardCmd::Tick { now_ms } => {
@@ -140,31 +138,6 @@ pub(crate) fn worker_step(
         }
     }
     out
-}
-
-/// Process one arrival — the shared body of [`ShardCmd::Feed`] and each
-/// element of [`ShardCmd::FeedBatch`], so batched delivery is
-/// event-for-event identical to unbatched by construction.
-fn feed_one(
-    ck: &mut OnlineChecker,
-    txn: Arc<Transaction>,
-    now_ms: u64,
-    events_on: bool,
-    replies: &mut Vec<ShardReply>,
-) {
-    let tid = txn.tid;
-    // Last holder takes ownership; other shards of a split transaction
-    // deep-clone here, off the coordinator's critical path.
-    let txn = Arc::try_unwrap(txn).unwrap_or_else(|shared| (*shared).clone());
-    let mut events = ck.tick(now_ms);
-    events.extend(ck.receive(txn, now_ms));
-    if events_on {
-        // Whether this shard still holds tentative reads for the
-        // transaction — the single source of truth the coordinator's
-        // ExtFinalized merge is driven by.
-        let pending = ck.is_pending(tid);
-        replies.push(ShardReply::Fed { tid, pending, events });
-    }
 }
 
 /// How the coordinator reaches its shard workers. See the module docs;
@@ -274,10 +247,9 @@ impl ShardTransport for ThreadTransport {
     }
 }
 
-/// A shard worker: drains commands in order, catching its clock up
-/// before each arrival so finalization verdicts match the single
-/// checker's, and replies with events (when on) plus the pending flag
-/// the coordinator's `ExtFinalized` merge needs.
+/// A shard worker: drains commands in order and replies with events
+/// (when on) plus the pending flag the coordinator's `ExtFinalized`
+/// merge needs.
 fn worker_loop(
     shard: usize,
     checker: OnlineChecker,
@@ -318,9 +290,10 @@ pub struct SimSchedule {
     /// the coordinator (lower = replies lag further behind processing).
     pub deliver_p: f64,
     /// Probability of dropping a *finite* clock broadcast
-    /// (`ShardCmd::Tick`) outright. Legal by design — workers self-tick
-    /// before each arrival and the end-of-stream drain (`now == MAX`)
-    /// is never dropped — so verdicts must survive any value here.
+    /// (`ShardCmd::Tick`) outright. Legal by design — every arrival
+    /// advances its worker's clock and the end-of-stream drain
+    /// (`now == MAX`) is never dropped — so verdicts must survive any
+    /// value here.
     pub drop_tick_p: f64,
     /// Probability that a selected worker enters a stall instead of
     /// processing (models a descheduled/slow worker thread).

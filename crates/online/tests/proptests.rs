@@ -164,7 +164,7 @@ fn session_respecting_shuffle(h: &History, seed: u64) -> Vec<Transaction> {
     out
 }
 
-fn run_online(arrivals: &[Transaction], cfg: AionConfig) -> aion_online::AionOutcome {
+fn run_online(arrivals: &[Transaction], cfg: AionConfig) -> aion_online::Outcome {
     let mut ck = OnlineChecker::new(cfg);
     for (i, txn) in arrivals.iter().enumerate() {
         ck.tick(i as u64);
@@ -215,24 +215,6 @@ proptest! {
         let out_of_order =
             run_online(&shuffled, AionConfig::builder().kind(h.kind).config());
         prop_assert_eq!(counts(&out_of_order.report), offline, "shuffled vs offline");
-    }
-
-    /// The step-③ re-check bound is a pure optimization: disabling it
-    /// (naive full re-scan) changes nothing but the work done.
-    #[test]
-    fn naive_recheck_ablation_preserves_verdicts(
-        spec in arb_spec(),
-        shuffle_seed in 0u64..1000,
-    ) {
-        let h = generate_history(&spec, IsolationLevel::Si);
-        let shuffled = session_respecting_shuffle(&h, shuffle_seed);
-        let opt = run_online(&shuffled, AionConfig::builder().kind(h.kind).config());
-        let naive = run_online(
-            &shuffled,
-            AionConfig::builder().kind(h.kind).naive_recheck(true).config(),
-        );
-        prop_assert_eq!(counts(&opt.report), counts(&naive.report));
-        prop_assert!(naive.stats.reevaluations >= opt.stats.reevaluations);
     }
 
     /// GC (spill + reload) never changes verdicts, even with a tiny cap

@@ -1,5 +1,4 @@
-//! RC hot-path regressions for the committed-membership index and the
-//! batched feed:
+//! RC hot-path regressions for the committed-membership index:
 //!
 //! * the index-backed membership EXT predicate must be behaviorally
 //!   invisible — every level still agrees with its offline CHRONOS
@@ -7,15 +6,13 @@
 //!   prunes the frontier the old latch kept resident, and compacts the
 //!   summaries) changes no verdict;
 //! * [`MembershipIndex`] agrees with a brute-force model under random
-//!   record/withdraw/compact sequences;
-//! * `feed_batch` is event-identical to per-arrival `feed` on the single
-//!   checker, and `receive_batch` outcome-equivalent on the sharded one.
+//!   record/withdraw/compact sequences.
 
 use aion_core::{check_ra_report, check_rc_report, check_ser_report, check_si_report};
-use aion_online::{AionConfig, MembershipIndex, OnlineChecker, OnlineGcPolicy, ShardedChecker};
+use aion_online::{AionConfig, MembershipIndex, OnlineChecker, OnlineGcPolicy};
 use aion_types::{
-    AxiomKind, CheckReport, Checker, EventKey, History, Key, Outcome, SessionId, Snapshot,
-    SplitMix64, Timestamp, Transaction, TxnId, Value,
+    AxiomKind, CheckReport, EventKey, History, Key, Outcome, SessionId, Snapshot, SplitMix64,
+    Timestamp, Transaction, TxnId, Value,
 };
 use aion_workload::{generate_history, IsolationLevel, KeyDist, WorkloadSpec};
 use proptest::prelude::*;
@@ -256,132 +253,6 @@ proptest! {
                     prop_assert_eq!(got, want, "query ({}, <{}, {}) after horizon {}", k, anchor, v, hmax);
                 }
             }
-        }
-    }
-}
-
-// ----------------------------------------------------------- batched feed
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// `Checker::feed_batch` on the single checker produces the exact
-    /// per-arrival event stream and outcome of looping `feed`, for any
-    /// chunking of the arrivals.
-    #[test]
-    fn single_feed_batch_is_event_identical(
-        spec in arb_spec(),
-        corrupt in any::<bool>(),
-        chunk in 1usize..20,
-        shuffle_seed in 0u64..1000,
-    ) {
-        let mut h = generate_history(&spec, IsolationLevel::ReadCommitted);
-        if corrupt {
-            flip_one_read(&mut h);
-        }
-        let arrivals = session_respecting_shuffle(&h, shuffle_seed);
-        let build = || {
-            OnlineChecker::builder()
-                .kind(h.kind)
-                .level(IsolationLevel::ReadCommitted)
-                .ext_timeout_ms(3)
-                .events(true)
-                .build()
-                .unwrap()
-        };
-
-        let mut a = build();
-        let mut ea = Vec::new();
-        for (i, txn) in arrivals.iter().enumerate() {
-            ea.extend(Checker::feed(&mut a, txn.clone(), i as u64));
-        }
-        ea.extend(a.tick(u64::MAX));
-
-        let mut b = build();
-        let mut eb = Vec::new();
-        let timed: Vec<(Transaction, u64)> =
-            arrivals.iter().enumerate().map(|(i, t)| (t.clone(), i as u64)).collect();
-        for part in timed.chunks(chunk) {
-            eb.extend(Checker::feed_batch(&mut b, part.to_vec()));
-        }
-        eb.extend(b.tick(u64::MAX));
-
-        prop_assert_eq!(ea, eb, "event streams diverge at chunk size {}", chunk);
-        let (oa, ob) = (a.finish(), b.finish());
-        prop_assert_eq!(violation_set(&oa), violation_set(&ob));
-        prop_assert_eq!(oa.stats, ob.stats);
-    }
-
-    /// `ShardedChecker::receive_batch` — one coordinator message per
-    /// shard per batch — reaches the same final verdicts, violation
-    /// sets, and flip totals as per-arrival `receive`, and both match
-    /// the single checker.
-    #[test]
-    fn sharded_receive_batch_matches_per_arrival(
-        spec in arb_spec(),
-        chunk in 1usize..20,
-        shuffle_seed in 0u64..1000,
-    ) {
-        let h = generate_history(&spec, IsolationLevel::ReadCommitted);
-        let arrivals = session_respecting_shuffle(&h, shuffle_seed);
-        let cfg = || {
-            AionConfig::builder()
-                .kind(h.kind)
-                .level(IsolationLevel::ReadCommitted)
-                .ext_timeout_ms(3)
-        };
-        let single = {
-            let mut ck = OnlineChecker::new(cfg().config());
-            for (i, txn) in arrivals.iter().enumerate() {
-                ck.tick(i as u64);
-                ck.receive(txn.clone(), i as u64);
-            }
-            ck.tick(u64::MAX);
-            ck.finish()
-        };
-        for shards in [2usize, 3] {
-            let mut per_arrival = ShardedChecker::new(cfg().shards(shards).config());
-            for (i, txn) in arrivals.iter().enumerate() {
-                per_arrival.tick(i as u64);
-                per_arrival.receive(txn.clone(), i as u64);
-            }
-            per_arrival.tick(u64::MAX);
-            let pa = per_arrival.finish();
-
-            let mut batched = ShardedChecker::new(cfg().shards(shards).config());
-            for (ci, part) in arrivals.chunks(chunk).enumerate() {
-                let base = (ci * chunk) as u64;
-                batched.tick(base);
-                let parts: Vec<(Transaction, u64)> = part
-                    .iter()
-                    .enumerate()
-                    .map(|(j, t)| (t.clone(), base + j as u64))
-                    .collect();
-                batched.receive_batch(parts);
-            }
-            batched.tick(u64::MAX);
-            let ba = batched.finish();
-
-            for (other, label) in [(&pa, "per-arrival"), (&single, "single")] {
-                prop_assert_eq!(ba.is_ok(), other.is_ok(), "{} @ {} shards", label, shards);
-                prop_assert_eq!(
-                    counts(&ba.report),
-                    counts(&other.report),
-                    "{} @ {} shards",
-                    label,
-                    shards
-                );
-                prop_assert_eq!(
-                    violation_set(&ba),
-                    violation_set(other),
-                    "{} @ {} shards",
-                    label,
-                    shards
-                );
-            }
-            prop_assert_eq!(ba.txns, pa.txns);
-            prop_assert_eq!(ba.stats.finalized, pa.stats.finalized);
-            prop_assert_eq!(ba.flips.total_flips, pa.flips.total_flips);
         }
     }
 }

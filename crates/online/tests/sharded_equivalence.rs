@@ -100,14 +100,22 @@ fn session_respecting_shuffle(h: &History, seed: u64) -> Vec<Transaction> {
     out
 }
 
-fn drive<C: Checker>(mut ck: C, arrivals: &[Transaction]) -> Outcome {
+/// Feed `arrivals` one virtual ms apart, with a `tick` before each
+/// (`ticks`) or none until the drain. Every arrival advances the clock
+/// by itself, so both drives must give identical verdicts.
+fn drive<C: Checker>(mut ck: C, arrivals: &[Transaction], ticks: bool) -> Outcome {
     for (i, txn) in arrivals.iter().enumerate() {
-        ck.tick(i as u64);
+        if ticks {
+            ck.tick(i as u64);
+        }
         ck.feed(txn.clone(), i as u64);
     }
     ck.tick(u64::MAX);
     ck.finish()
 }
+
+/// Both drives: ticked before every arrival, and tick-less.
+const DRIVES: [bool; 2] = [true, false];
 
 /// Violation multiset as sortable strings (Violation has no Ord).
 fn violation_set(o: &Outcome) -> Vec<String> {
@@ -130,32 +138,29 @@ fn assert_equivalent(
     single: &Outcome,
     sharded: &Outcome,
     shards: usize,
+    ticks: bool,
 ) -> Result<(), TestCaseError> {
-    prop_assert_eq!(single.is_ok(), sharded.is_ok(), "verdict differs at {} shards", shards);
-    prop_assert_eq!(
-        axiom_counts(single),
-        axiom_counts(sharded),
-        "axiom counts differ at {} shards",
-        shards
-    );
+    let at = format!("{shards} shards, ticks={ticks}");
+    prop_assert_eq!(single.is_ok(), sharded.is_ok(), "verdict differs at {}", at);
+    prop_assert_eq!(axiom_counts(single), axiom_counts(sharded), "axiom counts differ at {}", at);
     prop_assert_eq!(
         violation_set(single),
         violation_set(sharded),
-        "violation sets differ at {} shards",
-        shards
+        "violation sets differ at {}",
+        at
     );
-    prop_assert_eq!(single.txns, sharded.txns, "txn counts differ at {} shards", shards);
+    prop_assert_eq!(single.txns, sharded.txns, "txn counts differ at {}", at);
     prop_assert_eq!(
         single.stats.finalized,
         sharded.stats.finalized,
-        "finalized counts differ at {} shards",
-        shards
+        "finalized counts differ at {}",
+        at
     );
     prop_assert_eq!(
         single.flips.total_flips,
         sharded.flips.total_flips,
-        "flip totals differ at {} shards",
-        shards
+        "flip totals differ at {}",
+        at
     );
     Ok(())
 }
@@ -174,18 +179,22 @@ proptest! {
         let mut h = generate_history(&spec, IsolationLevel::Si);
         corrupt(&mut h, corruption);
         let arrivals = session_respecting_shuffle(&h, shuffle_seed);
-        let single = drive(
-            OnlineChecker::new(AionConfig::builder().kind(h.kind).config()),
-            &arrivals,
-        );
-        for shards in 1..=4usize {
-            let sharded = drive(
-                ShardedChecker::new(
-                    AionConfig::builder().kind(h.kind).shards(shards).config(),
-                ),
+        for ticks in DRIVES {
+            let single = drive(
+                OnlineChecker::new(AionConfig::builder().kind(h.kind).config()),
                 &arrivals,
+                ticks,
             );
-            assert_equivalent(&single, &sharded, shards)?;
+            for shards in 1..=4usize {
+                let sharded = drive(
+                    ShardedChecker::new(
+                        AionConfig::builder().kind(h.kind).shards(shards).config(),
+                    ),
+                    &arrivals,
+                    ticks,
+                );
+                assert_equivalent(&single, &sharded, shards, ticks)?;
+            }
         }
     }
 
@@ -201,16 +210,19 @@ proptest! {
         corrupt(&mut h, corruption);
         let arrivals = session_respecting_shuffle(&h, shuffle_seed);
         let cfg = || AionConfig::builder().kind(h.kind).level(IsolationLevel::Ser);
-        let single = drive(OnlineChecker::new(cfg().config()), &arrivals);
-        for shards in [2usize, 4] {
-            let sharded =
-                drive(ShardedChecker::new(cfg().shards(shards).config()), &arrivals);
-            assert_equivalent(&single, &sharded, shards)?;
+        for ticks in DRIVES {
+            let single = drive(OnlineChecker::new(cfg().config()), &arrivals, ticks);
+            for shards in [2usize, 4] {
+                let sharded =
+                    drive(ShardedChecker::new(cfg().shards(shards).config()), &arrivals, ticks);
+                assert_equivalent(&single, &sharded, shards, ticks)?;
+            }
         }
     }
 
     /// Short EXT timeouts: finalization fires mid-stream on both sides,
-    /// freezing verdicts at the same (virtual) points.
+    /// freezing verdicts at the same (virtual) points — also when the
+    /// driver never ticks and only arrivals advance the clock.
     #[test]
     fn sharded_matches_single_with_midstream_finalization(
         spec in arb_spec(),
@@ -219,11 +231,13 @@ proptest! {
         let h = generate_history(&spec, IsolationLevel::Si);
         let arrivals = session_respecting_shuffle(&h, shuffle_seed);
         let cfg = || AionConfig::builder().kind(h.kind).ext_timeout_ms(3);
-        let single = drive(OnlineChecker::new(cfg().config()), &arrivals);
-        for shards in [2usize, 3] {
-            let sharded =
-                drive(ShardedChecker::new(cfg().shards(shards).config()), &arrivals);
-            assert_equivalent(&single, &sharded, shards)?;
+        for ticks in DRIVES {
+            let single = drive(OnlineChecker::new(cfg().config()), &arrivals, ticks);
+            for shards in [2usize, 3] {
+                let sharded =
+                    drive(ShardedChecker::new(cfg().shards(shards).config()), &arrivals, ticks);
+                assert_equivalent(&single, &sharded, shards, ticks)?;
+            }
         }
     }
 }

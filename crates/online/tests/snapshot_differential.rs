@@ -387,3 +387,75 @@ proptest! {
         }
     }
 }
+
+// ------------------------------------------------------- v3 fixtures
+
+/// The stream behind `tests/fixtures/v3-*.ckpt`: a seeded SI history
+/// with one unjustifiable read, fed out of order with a 20 ms EXT
+/// timeout so finalizations happen mid-stream.
+fn fixture_plan() -> Vec<aion_online::Arrival> {
+    let spec = WorkloadSpec::default()
+        .with_txns(60)
+        .with_sessions(4)
+        .with_ops_per_txn(4)
+        .with_keys(8)
+        .with_seed(7);
+    let mut h = generate_history(&spec, IsolationLevel::Si);
+    if let Some(value) = h.txns.iter_mut().flat_map(|t| t.ops.iter_mut()).find_map(|op| match op {
+        aion_types::Op::Read { value, .. } => Some(value),
+        _ => None,
+    }) {
+        *value = aion_types::Snapshot::Scalar(aion_types::Value(u64::MAX - 3));
+    }
+    let feed = aion_online::FeedConfig {
+        batch_size: 8,
+        batch_interval_ms: 10,
+        delay_mean_ms: 5.0,
+        delay_std_ms: 2.0,
+        seed: 3,
+    };
+    aion_online::feed_plan(&h, &feed)
+}
+
+/// Tick and feed each arrival, drain, finish.
+fn finish_plan<C: Checker>(mut ck: C, plan: &[aion_online::Arrival]) -> Outcome {
+    for (at, txn) in plan {
+        ck.tick(*at);
+        ck.feed(txn.clone(), *at);
+    }
+    ck.tick(u64::MAX);
+    ck.finish()
+}
+
+/// Checkpoints written by the last v3 build (single checker and 2
+/// shards, `ext_timeout_ms(20)`, cut after the first half of
+/// [`fixture_plan`], each arrival ticked then fed) still restore, and
+/// the resumed sessions finish with the verdict and violations of a
+/// fresh run of the whole plan.
+#[test]
+fn v3_checkpoints_restore_and_finish_with_the_fresh_verdict() {
+    let plan = fixture_plan();
+    let rest = &plan[plan.len() / 2..];
+    let fixture = |name: &str| {
+        let path =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
+        let bytes = std::fs::read(path).expect("fixture");
+        assert_eq!(bytes[8], 3, "{name} is a v3 checkpoint");
+        bytes
+    };
+    let builder = || OnlineChecker::builder().ext_timeout_ms(20);
+
+    let fresh = finish_plan(builder().build().unwrap(), &plan);
+    assert!(!fresh.is_ok(), "the planted read must be reported");
+    let resumed = finish_plan(OnlineChecker::restore(&fixture("v3-single.ckpt")).unwrap(), rest);
+    assert_eq!(resumed.is_ok(), fresh.is_ok());
+    assert_eq!(violation_set(&resumed), violation_set(&fresh));
+
+    let fresh = finish_plan(builder().shards(2).build_sharded().unwrap(), &plan);
+    let bytes = fixture("v3-sharded2.ckpt");
+    let resumed = finish_plan(ShardedChecker::restore(&bytes).unwrap(), rest);
+    assert_eq!(resumed.is_ok(), fresh.is_ok());
+    assert_eq!(violation_set(&resumed), violation_set(&fresh));
+    let resharded = finish_plan(ShardedChecker::restore_resharded(&bytes, 3).unwrap(), rest);
+    assert_eq!(violation_set(&resharded), violation_set(&fresh));
+}

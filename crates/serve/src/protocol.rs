@@ -127,6 +127,18 @@ fn opt_int(v: &JsonValue, key: &str) -> Result<Option<u64>, ServeError> {
     }
 }
 
+/// The optional `shards` field, refused above [`aion_online::MAX_SHARDS`]
+/// (each worker is an OS thread) before any session is built.
+fn opt_shards(v: &JsonValue) -> Result<Option<usize>, ServeError> {
+    match opt_int(v, "shards")? {
+        Some(n) if n > aion_online::MAX_SHARDS as u64 => Err(ServeError::Protocol(format!(
+            "field 'shards' is {n}; at most {} allowed",
+            aion_online::MAX_SHARDS
+        ))),
+        n => Ok(n.map(|n| n as usize)),
+    }
+}
+
 fn opt_bool(v: &JsonValue, key: &str) -> Result<bool, ServeError> {
     match v.get(key) {
         None | Some(JsonValue::Null) => Ok(false),
@@ -171,7 +183,7 @@ impl Command {
                         }
                     };
                 }
-                params.shards = opt_int(&v, "shards")?.map(|n| n as usize);
+                params.shards = opt_shards(&v)?;
                 params.gc_max_txns = opt_int(&v, "gc")?.map(|n| n as usize);
                 params.ext_timeout_ms = opt_int(&v, "ext_timeout_ms")?;
                 params.flip_details = opt_bool(&v, "flip_details")?;
@@ -189,7 +201,7 @@ impl Command {
             "restore" => Command::Restore {
                 session: need_str(&v, "session")?,
                 path: need_str(&v, "path")?,
-                shards: opt_int(&v, "shards")?.map(|n| n as usize),
+                shards: opt_shards(&v)?,
             },
             "stats" => Command::Stats { session: need_str(&v, "session")? },
             "list" => Command::List,
@@ -331,6 +343,27 @@ mod tests {
                 assert_eq!(params.shards, None);
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn shard_counts_above_the_cap_are_protocol_errors() {
+        // Parsing builds nothing, so these lines cannot start a worker.
+        let max = aion_online::MAX_SHARDS as u64;
+        for n in [max + 1, u64::MAX] {
+            for line in [
+                format!(r#"{{"cmd":"open","session":"a","shards":{n}}}"#),
+                format!(r#"{{"cmd":"restore","session":"a","path":"p","shards":{n}}}"#),
+            ] {
+                assert!(
+                    matches!(Command::parse(&line), Err(ServeError::Protocol(_))),
+                    "expected protocol error for {line}"
+                );
+            }
+        }
+        match Command::parse(&format!(r#"{{"cmd":"open","session":"a","shards":{max}}}"#)) {
+            Ok(Command::Open { params, .. }) => assert_eq!(params.shards, Some(max as usize)),
+            other => panic!("the cap itself is allowed: {other:?}"),
         }
     }
 

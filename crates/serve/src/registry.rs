@@ -41,28 +41,12 @@ impl SessionChecker {
         }
     }
 
-    /// Ingest one admission window of arrivals, each at its own virtual
-    /// time.
-    fn feed_batch(&mut self, batch: Vec<(aion_types::Transaction, u64)>) -> Vec<CheckEvent> {
+    /// Ingest one arrival at virtual time `now_ms` (the arrival fires
+    /// every EXT deadline at or before `now_ms` first).
+    fn feed(&mut self, txn: aion_types::Transaction, now_ms: u64) -> Vec<CheckEvent> {
         match self {
-            // The single checker fires EXT deadlines only on explicit
-            // ticks, so every arrival keeps its own tick at its own
-            // virtual time — the same event stream the unbatched loop
-            // produced.
-            SessionChecker::Single(c) => {
-                let mut out = Vec::new();
-                for (txn, now) in batch {
-                    out.extend(Checker::tick(c, now));
-                    out.extend(Checker::feed(c, txn, now));
-                }
-                out
-            }
-            // Sharded workers self-tick before each part at that part's
-            // own virtual time, so one batched channel send per shard
-            // preserves every verdict; the coordinator's rate-limited
-            // clock broadcasts only affect how promptly *idle* shards
-            // surface finalization events.
-            SessionChecker::Sharded(c) => Checker::feed_batch(c, batch),
+            SessionChecker::Single(c) => Checker::feed(c, txn, now_ms),
+            SessionChecker::Sharded(c) => Checker::feed(c, txn, now_ms),
         }
     }
 
@@ -336,9 +320,9 @@ impl Registry {
         }
         loop {
             // Collect one admission window, stamping each arrival with
-            // its own virtual time, then ingest it as a single batch —
-            // for sharded sessions that is one channel send per shard
-            // instead of one per transaction.
+            // its own virtual time, then ingest it: a decode error
+            // mid-window leaves the session exactly as the previous
+            // window did.
             let mut window: Vec<(aion_types::Transaction, u64)> =
                 Vec::with_capacity(ADMISSION_SAMPLE_EVERY as usize);
             while (window.len() as u64) < ADMISSION_SAMPLE_EVERY {
@@ -352,7 +336,10 @@ impl Registry {
                     .checker
                     .as_mut()
                     .ok_or_else(|| ServeError::UnknownSession(name.to_owned()))?;
-                let evs = checker.feed_batch(window);
+                let mut evs = Vec::new();
+                for (txn, now) in window {
+                    evs.extend(checker.feed(txn, now));
+                }
                 let violations = evs.iter().filter(|e| e.is_violation()).count() as u64;
                 state.txns += ingested;
                 summary.txns += ingested;

@@ -40,16 +40,6 @@ use crate::level::IsolationLevel;
 use crate::txn::Transaction;
 use crate::violation::{CheckReport, Violation};
 
-/// Pre-lattice name of [`IsolationLevel`], kept so pre-PR-5 callers
-/// (`Mode::Si`, `builder().mode(Mode::Ser)`) still compile. The alias
-/// resolves to the full four-level lattice; exhaustive `match`es must
-/// grow a wildcard arm.
-#[deprecated(
-    since = "0.6.0",
-    note = "renamed to `aion_types::IsolationLevel`; the two-variant era is over"
-)]
-pub type Mode = IsolationLevel;
-
 /// One incremental observation from a streaming checking session.
 ///
 /// Returned by [`Checker::feed`] and [`Checker::tick`] in the order the
@@ -149,49 +139,6 @@ impl std::fmt::Display for CheckEvent {
                 write!(f, "spill {op} failed: {detail}")
             }
         }
-    }
-}
-
-/// How a sharded checking session partitions its work.
-///
-/// Carried by `aion_online::AionConfig` and consumed by
-/// `aion_online::sharded::ShardedChecker`: the transaction stream is
-/// partitioned by key across `shards` worker threads, each running its
-/// own single-threaded checker over the keys it owns. `#[non_exhaustive]`:
-/// construct via [`ShardConfig::new`] or [`ShardConfig::default`] so
-/// future knobs stay non-breaking.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct ShardConfig {
-    /// Number of shard workers (≥ 1). Keys are hash-partitioned across
-    /// them; a transaction touching several shards is split into
-    /// per-shard sub-footprints by the coordinator.
-    pub shards: usize,
-    /// Minimum virtual-time advance (ms) between clock broadcasts to the
-    /// shard workers. Workers always catch their clock up before
-    /// processing an arrival, so this only bounds how promptly *idle*
-    /// shards surface EXT finalizations — verdicts are unaffected. `0`
-    /// forwards every `tick` (highest event fidelity, most messages).
-    pub tick_broadcast_ms: u64,
-}
-
-impl Default for ShardConfig {
-    fn default() -> Self {
-        ShardConfig { shards: 4, tick_broadcast_ms: 50 }
-    }
-}
-
-impl ShardConfig {
-    /// A configuration with `shards` workers and the default broadcast
-    /// granularity. `shards` is clamped to at least 1.
-    pub fn new(shards: usize) -> ShardConfig {
-        ShardConfig { shards: shards.max(1), ..ShardConfig::default() }
-    }
-
-    /// Set the clock-broadcast granularity in virtual milliseconds.
-    pub fn with_tick_broadcast_ms(mut self, ms: u64) -> ShardConfig {
-        self.tick_broadcast_ms = ms;
-        self
     }
 }
 
@@ -415,23 +362,6 @@ pub trait Checker {
     /// events this arrival produced (empty for offline adapters).
     fn feed(&mut self, txn: Transaction, now_ms: u64) -> Vec<CheckEvent>;
 
-    /// Feed a batch of arrivals in order, returning the concatenated
-    /// event stream.
-    ///
-    /// Semantically identical to calling [`Checker::feed`] once per
-    /// element — the default implementation does exactly that, and any
-    /// override must preserve the per-arrival event stream byte for
-    /// byte. Batching exists so drivers can amortize per-arrival
-    /// overhead (channel sends in `aion_online::ShardedChecker`, ticks
-    /// in `aion-serve`) without changing observable behavior.
-    fn feed_batch(&mut self, batch: Vec<(Transaction, u64)>) -> Vec<CheckEvent> {
-        let mut out = Vec::new();
-        for (txn, now_ms) in batch {
-            out.extend(self.feed(txn, now_ms));
-        }
-        out
-    }
-
     /// Advance the (virtual) clock, returning events produced by timer
     /// expiry — EXT finalizations and their violations.
     fn tick(&mut self, now_ms: u64) -> Vec<CheckEvent>;
@@ -483,17 +413,6 @@ mod tests {
             commit_ts: Timestamp(1),
         });
         assert!(v.is_violation());
-    }
-
-    /// Pre-PR-5 source compatibility: the deprecated `Mode` alias still
-    /// resolves, constructs, and labels.
-    #[test]
-    #[allow(deprecated)]
-    fn mode_alias_stays_source_compatible() {
-        assert_eq!(Mode::Si.label(), "si");
-        assert_eq!(Mode::Ser.label(), "ser");
-        assert_eq!(Mode::default(), Mode::Si);
-        assert_eq!(Mode::Si, IsolationLevel::Si);
     }
 
     #[test]

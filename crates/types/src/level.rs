@@ -6,7 +6,7 @@
 //! or each transaction — picks its own level, the setting of "On the
 //! Complexity of Checking Mixed Isolation Levels for SQL Transactions"
 //! (Bouajjani, Enea & Román-Calvo). This module turns the former closed
-//! two-variant `Mode` into an open lattice:
+//! SI/SER switch into an open lattice:
 //!
 //! * [`IsolationLevel`] — a `#[non_exhaustive]` enum ordered by
 //!   [`PartialOrd`]: `a <= b` holds exactly when every history valid at
@@ -331,7 +331,7 @@ impl Default for LevelPolicy {
 }
 
 impl LevelPolicy {
-    /// A uniform policy (the pre-lattice `Mode` behaviour).
+    /// A uniform policy: every transaction at `level`.
     pub fn uniform(level: IsolationLevel) -> LevelPolicy {
         LevelPolicy::Uniform(level)
     }

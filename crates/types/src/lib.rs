@@ -28,9 +28,7 @@ pub mod snapshot;
 mod txn;
 mod violation;
 
-#[allow(deprecated)] // the alias itself is the compatibility surface
-pub use check::Mode;
-pub use check::{CheckEvent, Checker, CheckerStats, FlipSummary, Outcome, ShardConfig, SpillOp};
+pub use check::{CheckEvent, Checker, CheckerStats, FlipSummary, Outcome, SpillOp};
 pub use clock::{Clock, RealClock, SimClock, Stopwatch};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use history::{History, HistoryStats, IntegrityIssue};

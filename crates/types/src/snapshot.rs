@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! magic    b"AIONCKPT"   (8 bytes)
-//! version  u8            (currently 3)
+//! version  u8            (currently 4)
 //! kind     u8            (0 = OnlineChecker, 1 = ShardedChecker)
 //! body     checker-specific, see aion-online::snapshot
 //! ```
@@ -49,14 +49,16 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"AIONCKPT";
 /// `SpillError` variant (codec tag 4).
 ///
 /// v3: the single-checker body gained the committed-membership summaries
-/// and the reload floor (appended after the spill segments). A v2 body
-/// restores with the summaries rebuilt from its frontier — exact,
-/// because v2 writers never pruned the frontier under committed-EXT
-/// policies — and the floor at its conservative minimum.
-pub const SNAPSHOT_VERSION: u8 = 3;
+/// and the reload floor (appended after the spill segments).
+///
+/// v4: the configuration section lost the step-③ ablation flag (one
+/// bool after `track_flip_details`) and the shard clock-broadcast
+/// granularity (one varint after the shard count). A v3 body restores
+/// with both fields read and discarded; v2 bodies are no longer read.
+pub const SNAPSHOT_VERSION: u8 = 4;
 
 /// Oldest checkpoint schema version this build still restores.
-pub const SNAPSHOT_VERSION_MIN: u8 = 2;
+pub const SNAPSHOT_VERSION_MIN: u8 = 3;
 
 /// Payload-kind byte: the body is a single `OnlineChecker`.
 pub const SNAPSHOT_KIND_SINGLE: u8 = 0;
